@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -20,6 +21,7 @@ from .harness import (
     CsvFormatError,
     ExperimentAbortedError,
     ExperimentConfig,
+    _format_cell,
     emit_tables,
     fit_real,
     load_csv,
@@ -168,10 +170,7 @@ def _cmd_simulate(args) -> int:
         writer = csv.writer(handle)
         writer.writerow(_REPLICATION_COLUMNS)
         for rec in result.replications:
-            writer.writerow([
-                "" if rec[c] is None else (repr(rec[c]) if isinstance(rec[c], float) else rec[c])
-                for c in _REPLICATION_COLUMNS
-            ])
+            writer.writerow([_format_cell(rec[c]) for c in _REPLICATION_COLUMNS])
     summary = {
         "config": {
             "p": cfg.sim.p,
@@ -185,23 +184,7 @@ def _cmd_simulate(args) -> int:
             "seed": cfg.seed,
         },
         "failures": result.failures,
-        "rows": [
-            {
-                "setting": row.setting,
-                "rho": row.rho,
-                "q": row.q,
-                "p": row.p,
-                "estimator": row.estimator,
-                "mse": row.mse,
-                "re_vs": row.re_vs,
-                "auc": row.auc,
-                "tpr": row.tpr,
-                "fpr": row.fpr,
-                "n_q": row.n_q,
-                "pi_q_hat": row.pi_q_hat,
-            }
-            for row in result.rows
-        ],
+        "rows": [dataclasses.asdict(row) for row in result.rows],
     }
     _json_dump(summary, out / "summary.json")
     return EXIT_OK

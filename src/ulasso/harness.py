@@ -18,8 +18,15 @@ from pathlib import Path
 import numpy as np
 
 from .extremes import estimate_pi_q
-from .metrics import auc, combine_directions, mse_direction, normalize_direction, tpr_fpr
-from .model import Dataset, Direction, Orientation
+from .metrics import (
+    auc,
+    combine_directions,
+    mse_direction,
+    normalize_direction,
+    relative_efficiency,
+    tpr_fpr,
+)
+from .model import Dataset, DegenerateTailsError, Direction, Orientation
 from .sampler import SimulationConfig, design_from_config, gen_population, rng_stream
 from .solver import SolverError, logistic_lasso_fit
 from .tuning import GridParams, fit_ulasso
@@ -239,7 +246,7 @@ def _replication_worker(args):
     cfg, rep = args
     try:
         return rep, _replicate(cfg, rep), None
-    except Exception as exc:  # noqa: BLE001 - skip-and-log policy
+    except (SolverError, DegenerateTailsError) as exc:
         return rep, None, repr(exc)
 
 
@@ -251,8 +258,9 @@ def _mean_or_none(values: list) -> float | None:
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     """Run all replications, aggregate per-estimator means, attach RE maps.
 
-    Failed replications are skipped and logged; the experiment aborts once
-    more than 10% fail. Results are invariant to the worker count.
+    Replications that fail with a solver or degenerate-tails error are
+    skipped and logged; the experiment aborts once more than 10% fail. Any
+    other exception propagates. Results are invariant to the worker count.
     """
     jobs = [(cfg, rep) for rep in range(cfg.n_replications)]
     if workers > 1:
@@ -291,14 +299,14 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
             own = mse_means[name]
             for other, other_mse in mse_means.items():
                 if other != name and other_mse is not None and own:
-                    re_vs[other] = other_mse / own
+                    re_vs[other] = relative_efficiency(other_mse, own)
         rows.append(ResultRow(
             setting=setting,
             rho=cfg.sim.rho,
             q=recs[0]["q"],
             p=cfg.sim.p,
             estimator=name,
-            mse=_mean_or_none([r["mse"] for r in recs]),
+            mse=mse_means[name],
             re_vs=re_vs,
             auc=_mean_or_none([r["auc"] for r in recs]),
             tpr=_mean_or_none([r["tpr"] for r in recs]),

@@ -5,6 +5,9 @@ Loss normalization is mean squared error, ``(1/n) * sum((y_t - x_t @ beta)**2)``
 so the smooth-part gradient is ``-2 * T(beta)`` with ``T`` the empirical score
 below, the null-solution threshold is ``2 * ||(1/n) x_t' y_t||_inf``, and the
 single-coordinate soft-threshold level is ``lam / 2``.
+
+The solver works on the columns as given; covariates are rescaled only at
+load time (``harness.load_csv(standardize=True)``).
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ExtremeSubset, FitResult
+from .model import ExtremeSubset, FitResult, _frozen_array
 
 __all__ = [
     "SolverError",
@@ -41,7 +44,11 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class CenteredDesign:
-    """Column-centered covariates and centered response, with per-column scales."""
+    """Column-centered covariates and centered response, with per-column scales.
+
+    Array fields are read-only. Arrays passed in already read-only are kept as
+    they are (``center_xy`` freezes the ones it allocates); others are copied.
+    """
 
     x_tilde: np.ndarray
     y_tilde: np.ndarray
@@ -50,8 +57,10 @@ class CenteredDesign:
     col_sq_norms: np.ndarray
 
     def __post_init__(self):
-        xt = np.asarray(self.x_tilde, dtype=float)
-        yt = np.asarray(self.y_tilde, dtype=float)
+        for name in ("x_tilde", "y_tilde", "col_means", "col_sq_norms"):
+            a = np.asarray(getattr(self, name), dtype=float)
+            object.__setattr__(self, name, _frozen_array(a) if a.flags.writeable else a)
+        xt, yt = self.x_tilde, self.y_tilde
         n = xt.shape[0]
         scale = max(1.0, float(np.abs(xt).max()) if xt.size else 1.0)
         if np.abs(xt.sum(axis=0)).max(initial=0.0) > 1e-9 * n * scale:
@@ -79,6 +88,8 @@ def center_xy(x: np.ndarray, y: np.ndarray) -> CenteredDesign:
     x_tilde = x - col_means
     y_tilde = y - y_mean
     col_sq = np.einsum("ij,ij->j", x_tilde, x_tilde) / x.shape[0]
+    for a in (x_tilde, y_tilde, col_means, col_sq):
+        a.setflags(write=False)
     return CenteredDesign(
         x_tilde=x_tilde,
         y_tilde=y_tilde,
@@ -103,10 +114,14 @@ def gradient_t(design: CenteredDesign, beta: np.ndarray) -> np.ndarray:
     return design.x_tilde.T @ r / design.n
 
 
+def _penalized_loss(r: np.ndarray, beta: np.ndarray, lam: float) -> float:
+    return float(r @ r / r.shape[0] + lam * np.abs(beta).sum())
+
+
 def objective_value(design: CenteredDesign, beta: np.ndarray, lam: float) -> float:
     """Penalized loss (1/n)||y_t - x_t beta||^2 + lam * ||beta||_1."""
-    r = design.y_tilde - design.x_tilde @ np.asarray(beta, dtype=float)
-    return float(r @ r / design.n + lam * np.abs(beta).sum())
+    beta = np.asarray(beta, dtype=float)
+    return _penalized_loss(design.y_tilde - design.x_tilde @ beta, beta, lam)
 
 
 def null_threshold(design: CenteredDesign) -> float:
@@ -122,14 +137,12 @@ def null_threshold(design: CenteredDesign) -> float:
     return 2.0 * corr_max
 
 
-def kkt_residual(design: CenteredDesign, beta: np.ndarray, lam: float) -> float:
-    """Largest violation of the subgradient stationarity conditions.
+def _kkt_violation(two_t: np.ndarray, beta: np.ndarray, lam: float) -> float:
+    """Largest subgradient violation for the score ``two_t`` (minus the smooth gradient).
 
-    Active coordinates must satisfy 2*T_j = lam * sign(beta_j); inactive ones
-    |2*T_j| <= lam.
+    Active coordinates must satisfy two_t_j = lam * sign(beta_j); inactive
+    ones |two_t_j| <= lam.
     """
-    beta = np.asarray(beta, dtype=float)
-    two_t = 2.0 * gradient_t(design, beta)
     active = beta != 0.0
     viol_inactive = np.maximum(np.abs(two_t[~active]) - lam, 0.0)
     viol_active = np.abs(two_t[active] - lam * np.sign(beta[active]))
@@ -139,6 +152,12 @@ def kkt_residual(design: CenteredDesign, beta: np.ndarray, lam: float) -> float:
     if viol_active.size:
         worst = max(worst, float(viol_active.max()))
     return worst
+
+
+def kkt_residual(design: CenteredDesign, beta: np.ndarray, lam: float) -> float:
+    """Largest violation of the stationarity conditions at ``beta``, with score 2*T."""
+    beta = np.asarray(beta, dtype=float)
+    return _kkt_violation(2.0 * gradient_t(design, beta), beta, lam)
 
 
 def _soft(z: float, t: float) -> float:
@@ -158,13 +177,15 @@ def _coordinate_descent(
     max_sweeps: int,
     beta_init: np.ndarray | None = None,
     objective_log: list | None = None,
-) -> tuple[np.ndarray, int, bool]:
+) -> tuple[np.ndarray, int, bool, float, float]:
     """Cyclic coordinate descent on (1/n)||y_t - x_t b||^2 + lam ||b||_1.
 
     Stops when the largest coordinate change in a sweep is at most ``tol`` and
     the KKT residual is within ``10 * tol``; zero-variance columns are frozen
     at zero. The penalized objective is checked to be non-increasing sweep to
     sweep (exact coordinate minimization guarantees it up to roundoff).
+    Returns ``(beta, sweeps, converged, kkt, objective)``; the last two are
+    computed from a freshly recomputed residual at the returned ``beta``.
     """
     n, p = x_tilde.shape
     beta = np.zeros(p) if beta_init is None else np.array(beta_init, dtype=float)
@@ -172,9 +193,15 @@ def _coordinate_descent(
     r = y_tilde - x_tilde @ beta
     thr = lam / 2.0
     cols = [np.ascontiguousarray(x_tilde[:, j]) for j in range(p)]
-    prev_obj = float(r @ r / n + lam * np.abs(beta).sum())
+    prev_obj = _penalized_loss(r, beta, lam)
     if objective_log is not None:
         objective_log.append(prev_obj)
+
+    def certify():
+        # Refresh the residual before certifying, killing accumulated drift.
+        fresh = y_tilde - x_tilde @ beta
+        return fresh, _kkt_violation(2.0 * (x_tilde.T @ fresh / n), beta, lam)
+
     converged = False
     sweeps = 0
     for sweeps in range(1, max_sweeps + 1):
@@ -193,26 +220,20 @@ def _coordinate_descent(
                 beta[j] = bj_new
                 if abs(delta) > max_delta:
                     max_delta = abs(delta)
-        obj = float(r @ r / n + lam * np.abs(beta).sum())
+        obj = _penalized_loss(r, beta, lam)
         if objective_log is not None:
             objective_log.append(obj)
         if obj > prev_obj + 1e-10 * (1.0 + abs(prev_obj)):
             raise SolverError("penalized objective increased across a sweep")
         prev_obj = obj
         if max_delta <= tol:
-            # Refresh the residual before certifying, killing accumulated drift.
-            r = y_tilde - x_tilde @ beta
-            two_t = 2.0 * (x_tilde.T @ r) / n
-            worst = 0.0
-            for j in range(p):
-                if beta[j] != 0.0:
-                    worst = max(worst, abs(two_t[j] - lam * np.sign(beta[j])))
-                else:
-                    worst = max(worst, max(abs(two_t[j]) - lam, 0.0))
-            if worst <= 10.0 * tol:
+            r, kkt = certify()
+            if kkt <= 10.0 * tol:
                 converged = True
                 break
-    return beta, sweeps, converged
+    if not converged:
+        r, kkt = certify()
+    return beta, sweeps, converged, kkt, _penalized_loss(r, beta, lam)
 
 
 def lasso_fit(
@@ -221,48 +242,20 @@ def lasso_fit(
     tol: float = DEFAULT_TOL,
     max_sweeps: int = DEFAULT_MAX_SWEEPS,
     beta_init: np.ndarray | None = None,
-    standardize: bool = False,
 ) -> FitResult:
     """Solve the centered L1-penalized least squares problem.
 
-    With ``standardize=True`` the columns are rescaled to unit second moment
-    before descent and the coefficients are mapped back; the reported KKT
-    residual and objective then refer to the standardized problem actually
-    solved.
+    The reported KKT residual and objective are those ``kkt_residual`` and
+    ``objective_value`` give at the returned coefficients.
     """
     if lam < 0.0:
         raise ValueError("lam must be nonnegative")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    if standardize:
-        scales = np.sqrt(design.col_sq_norms)
-        nz = scales > 0.0
-        x_std = design.x_tilde.copy()
-        x_std[:, nz] /= scales[nz]
-        std_design = CenteredDesign(
-            x_tilde=x_std,
-            y_tilde=design.y_tilde,
-            col_means=design.col_means,
-            y_mean=design.y_mean,
-            col_sq_norms=np.where(nz, 1.0, 0.0),
-        )
-        init = None
-        if beta_init is not None:
-            init = np.where(nz, np.asarray(beta_init, dtype=float) * scales, 0.0)
-        beta_std, sweeps, converged = _coordinate_descent(
-            std_design.x_tilde, std_design.y_tilde, std_design.col_sq_norms,
-            lam, tol, max_sweeps, init,
-        )
-        beta = np.where(nz, beta_std / np.where(nz, scales, 1.0), 0.0)
-        resid = kkt_residual(std_design, beta_std, lam)
-        obj = objective_value(std_design, beta_std, lam)
-    else:
-        beta, sweeps, converged = _coordinate_descent(
-            design.x_tilde, design.y_tilde, design.col_sq_norms,
-            lam, tol, max_sweeps, beta_init,
-        )
-        resid = kkt_residual(design, beta, lam)
-        obj = objective_value(design, beta, lam)
+    beta, sweeps, converged, resid, obj = _coordinate_descent(
+        design.x_tilde, design.y_tilde, design.col_sq_norms,
+        lam, tol, max_sweeps, beta_init,
+    )
     return FitResult(
         beta_hat=beta,
         lam=float(lam),
@@ -279,7 +272,6 @@ def lasso_path(
     lams: np.ndarray,
     tol: float = DEFAULT_TOL,
     max_sweeps: int = DEFAULT_MAX_SWEEPS,
-    standardize: bool = False,
 ) -> list[FitResult]:
     """Fit a strictly descending penalty grid, warm-starting from the previous solution."""
     lams = np.asarray(lams, dtype=float)
@@ -292,8 +284,7 @@ def lasso_path(
     fits = []
     beta = None
     for lam in lams:
-        fit = lasso_fit(design, float(lam), tol=tol, max_sweeps=max_sweeps,
-                        beta_init=beta, standardize=standardize)
+        fit = lasso_fit(design, float(lam), tol=tol, max_sweeps=max_sweeps, beta_init=beta)
         fits.append(fit)
         beta = fit.beta_hat
     return fits
@@ -358,7 +349,7 @@ def logistic_lasso_fit(
         xt = (x - xw_mean) * root[:, None]
         zt = (z - zw_mean) * root
         col_sq = np.einsum("ij,ij->j", xt, xt) / n
-        beta_new, sweeps, inner_ok = _coordinate_descent(
+        beta_new, sweeps, inner_ok, _, _ = _coordinate_descent(
             xt, zt, col_sq, lam, tol=max(tol / 10.0, 1e-12),
             max_sweeps=1000, beta_init=beta,
         )
@@ -375,12 +366,7 @@ def logistic_lasso_fit(
     eta = b0 + x @ beta
     prob = _expit(eta)
     grad = x.T @ (prob - y) / n
-    active = beta != 0.0
-    worst = float(abs(np.mean(prob - y)))
-    if np.any(~active):
-        worst = max(worst, float(np.max(np.maximum(np.abs(grad[~active]) - lam, 0.0))))
-    if np.any(active):
-        worst = max(worst, float(np.max(np.abs(grad[active] + lam * np.sign(beta[active])))))
+    worst = max(float(abs(np.mean(prob - y))), _kkt_violation(-grad, beta, lam))
     fit = FitResult(
         beta_hat=beta,
         lam=float(lam),

@@ -85,7 +85,6 @@ def fit_ulasso(
     grid_params: GridParams = GridParams(),
     tol: float = DEFAULT_TOL,
     max_sweeps: int = DEFAULT_MAX_SWEEPS,
-    standardize: bool = False,
 ) -> tuple[FitResult, TuningTrace, ExtremeSubset]:
     """Extract the extreme subset, fit the penalty path, and pick the BIC minimizer.
 
@@ -96,7 +95,7 @@ def fit_ulasso(
     subset = extract_extreme_subset(ds, q)
     design = center(subset)
     lams = lambda_grid(design, n_points=grid_params.n_points, ratio=grid_params.ratio)
-    fits = lasso_path(design, lams, tol=tol, max_sweeps=max_sweeps, standardize=standardize)
+    fits = lasso_path(design, lams, tol=tol, max_sweeps=max_sweeps)
     scores = np.array([bic_score(design, fit, subset.n_q) for fit in fits])
     selected = int(np.argmin(scores))
     trace = TuningTrace(

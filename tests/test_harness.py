@@ -20,6 +20,7 @@ from ulasso.harness import (
 )
 from ulasso.model import Dataset
 from ulasso.sampler import SimulationConfig, XiLaw, design_from_config, gen_population
+from ulasso.solver import SolverError
 from ulasso.tuning import GridParams
 
 
@@ -80,10 +81,20 @@ class TestRunExperiment:
         import ulasso.harness as harness
 
         def broken(cfg, rep):
-            raise RuntimeError("boom")
+            raise SolverError("boom")
 
         monkeypatch.setattr(harness, "_replicate", broken)
         with pytest.raises(ExperimentAbortedError):
+            run_experiment(_tiny_config())
+
+    def test_programming_error_propagates(self, monkeypatch):
+        import ulasso.harness as harness
+
+        def buggy(cfg, rep):
+            raise TypeError("bug")
+
+        monkeypatch.setattr(harness, "_replicate", buggy)
+        with pytest.raises(TypeError, match="bug"):
             run_experiment(_tiny_config())
 
 

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ulasso.extremes import extract_extreme_subset
 from ulasso.model import DesignSpec
 from ulasso.sampler import SimulationConfig, XiLaw, design_from_config, gen_population
 from ulasso.solver import (
+    DEFAULT_MAX_SWEEPS,
     CenteredDesign,
     _coordinate_descent,
     center,
@@ -16,6 +19,7 @@ from ulasso.solver import (
     lasso_fit,
     lasso_path,
     logistic_lasso_fit,
+    null_threshold,
     objective_value,
 )
 
@@ -71,6 +75,12 @@ class TestCenter:
         for j in range(2):
             assert abs(sum(d.x_tilde[:, j])) < 1e-12
         assert abs(sum(d.y_tilde)) < 1e-12
+
+    def test_arrays_frozen(self, rng):
+        d = center_xy(rng.standard_normal((5, 2)), rng.standard_normal(5))
+        for a in (d.x_tilde, d.y_tilde, d.col_means, d.col_sq_norms):
+            with pytest.raises(ValueError):
+                a[0] = 1.0
 
     def test_invariant_violation_rejected(self):
         with pytest.raises(ValueError, match="sum to zero"):
@@ -170,13 +180,20 @@ class TestLassoFit:
             ref = _ista_reference(d, lam)
             assert np.abs(fit.beta_hat - ref).max() <= 1e-5
 
-    def test_standardize_back_transform(self, rng):
-        x = rng.standard_normal((100, 5)) * np.array([1.0, 10.0, 0.1, 5.0, 2.0])
-        y = x[:, 0] - 0.3 * x[:, 1] + rng.standard_normal(100)
-        d = center_xy(x, y)
-        fit = lasso_fit(d, 0.0, tol=1e-10, standardize=True)
-        beta_ols = np.linalg.lstsq(d.x_tilde, d.y_tilde, rcond=None)[0]
-        assert np.abs(fit.beta_hat - beta_ols).max() <= 1e-6
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**31),
+        st.integers(min_value=2, max_value=40),
+        st.integers(min_value=1, max_value=8),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.sampled_from([1, DEFAULT_MAX_SWEEPS]),
+    )
+    def test_reported_certificate_is_recomputable(self, seed, n, p, lam_frac, max_sweeps):
+        d = _random_design(np.random.default_rng(seed), n, p)
+        lam = lam_frac * null_threshold(d)
+        fit = lasso_fit(d, lam, max_sweeps=max_sweeps)
+        assert fit.kkt_residual == kkt_residual(d, fit.beta_hat, lam)
+        assert fit.objective == objective_value(d, fit.beta_hat, lam)
 
 
 class TestLassoPath:
