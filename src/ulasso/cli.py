@@ -5,7 +5,7 @@ Subcommands:
   fit       run the real-data workflow on a CSV file and write a JSON report
   oracle    print the closed-form theory report for a simulation design
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 experiment aborted.
+Exit codes: 0 success, 2 configuration error, 3 data or solver error, 4 experiment aborted.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .harness import (
 from .model import DegenerateTailsError
 from .oracle import theory_report
 from .sampler import SimulationConfig, XiLaw, design_from_config
+from .solver import SolverError
 from .tuning import GridParams
 
 EXIT_OK = 0
@@ -141,7 +142,6 @@ def _experiment_config(args) -> ExperimentConfig:
         n_replications=args.reps,
         validation_size=int(values["validation_size"]),
         seed=args.seed,
-        output_path=str(args.out),
         grid=GridParams(n_points=int(values["grid_points"]), ratio=float(values["grid_ratio"])),
     )
 
@@ -206,6 +206,9 @@ def _cmd_fit(args) -> int:
         report = fit_real(ds, args.q)
     except DegenerateTailsError as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except SolverError as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -37,18 +37,26 @@ def tail_thresholds(s: np.ndarray, q: float) -> tuple[float, float, int]:
     return delta_lo, delta_hi, k
 
 
+def _first_k(s: np.ndarray, idx: np.ndarray, delta: float, k: int) -> np.ndarray:
+    """Tail rows ``idx`` (ascending), dropping the highest-index ties at ``delta`` beyond k."""
+    if idx.size > k:
+        tied = s[idx] == delta
+        allowed = k - (idx.size - int(np.count_nonzero(tied)))
+        idx = idx[~tied | (np.cumsum(tied) <= allowed)]
+    return idx
+
+
 def extract_extreme_subset(ds: Dataset, q: float) -> ExtremeSubset:
     """Select the k most extreme rows per tail and label them by tail membership.
 
     The subset lists the lower tail first, then the upper tail, each in
-    ascending row order. Rows tied with a threshold beyond the k-th are
-    excluded, smaller row indices winning.
+    ascending row order. The rows are read off the thresholds with masks, no
+    sort; rows tied with a threshold beyond the k-th are excluded, smaller
+    row indices winning.
     """
     delta_lo, delta_hi, k = tail_thresholds(ds.s, q)
-    asc = np.argsort(ds.s, kind="stable")
-    lo_idx = np.sort(asc[:k])
-    desc = np.argsort(-ds.s, kind="stable")
-    hi_idx = np.sort(desc[:k])
+    lo_idx = _first_k(ds.s, np.flatnonzero(ds.s <= delta_lo), delta_lo, k)
+    hi_idx = _first_k(ds.s, np.flatnonzero(ds.s >= delta_hi), delta_hi, k)
     idx = np.concatenate([lo_idx, hi_idx])
     y_star = np.concatenate([np.zeros(k), np.ones(k)])
     return ExtremeSubset(

@@ -3,6 +3,8 @@
 Replications run in isolated RNG streams derived from (seed, replication
 index), so results are bit-identical at any worker count. Aggregates are
 computed from the per-replication log alone, never from streaming state.
+The supervised baseline picks its penalty with the tail fit's rule,
+``tuning.select_bic``, on its own ``GridParams`` grid.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .metrics import (
 from .model import Dataset, DegenerateTailsError, Direction, Orientation
 from .sampler import SimulationConfig, design_from_config, gen_population, rng_stream
 from .solver import SolverError, logistic_lasso_fit
-from .tuning import GridParams, fit_ulasso
+from .tuning import GridParams, fit_ulasso, select_bic
 
 __all__ = [
     "ExperimentAbortedError",
@@ -47,8 +49,7 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _FAILURE_ABORT_FRACTION = 0.10
-_SLASSO_GRID_POINTS = 50
-_SLASSO_GRID_RATIO = 1e-3
+_SLASSO_GRID = GridParams(n_points=50, ratio=1e-3)
 
 
 class ExperimentAbortedError(RuntimeError):
@@ -69,7 +70,6 @@ class ExperimentConfig:
     n_replications: int
     validation_size: int
     seed: int
-    output_path: str | None = None
     grid: GridParams = GridParams()
 
     def __post_init__(self):
@@ -122,38 +122,27 @@ class ExperimentResult:
     failures: list
 
 
-def _logistic_bic_path(x: np.ndarray, y: np.ndarray, tol: float = 1e-7):
+def _logistic_bic_path(x: np.ndarray, y: np.ndarray):
     """Supervised baseline: penalized logistic path scored by the logistic BIC.
 
     The score is the deviance per observation plus log(n)/n per selected
-    coordinate; ties resolve to the larger penalty. Only converged fits are
-    eligible.
+    coordinate; ``select_bic`` picks among the converged fits, ties going to
+    the larger penalty. Returns ``(fit, intercept)``.
     """
     n = x.shape[0]
-    y_bar = y.mean()
-    lam_max = float(np.abs((x - x.mean(axis=0)).T @ (y - y_bar)).max()) / n
+    lam_max = float(np.abs((x - x.mean(axis=0)).T @ (y - y.mean())).max()) / n
     if lam_max <= 0.0:
         raise SolverError("degenerate supervised design: zero score at the null model")
-    lams = lam_max * np.logspace(0.0, math.log10(_SLASSO_GRID_RATIO), num=_SLASSO_GRID_POINTS)
-    best = None
-    best_bic = math.inf
-    beta_init = None
-    b0_init = None
-    for lam in lams:
-        fit, b0 = logistic_lasso_fit(
-            x, y, float(lam), tol=tol, beta_init=beta_init, intercept_init=b0_init
-        )
-        beta_init, b0_init = fit.beta_hat, b0
-        if not fit.converged:
-            continue
-        nll_avg = fit.objective - fit.lam * float(np.abs(fit.beta_hat).sum())
-        bic = 2.0 * nll_avg + math.log(n) / n * len(fit.support)
-        if bic < best_bic:
-            best_bic = bic
-            best = (fit, b0)
-    if best is None:
-        raise SolverError("no converged supervised fit on the penalty grid")
-    return best
+    fits, intercepts, b0 = [], [], None
+    for lam in _SLASSO_GRID.lambdas(lam_max):
+        beta = fits[-1].beta_hat if fits else None
+        fit, b0 = logistic_lasso_fit(x, y, float(lam), beta_init=beta, intercept_init=b0)
+        fits.append(fit)
+        intercepts.append(b0)
+    scores = [2.0 * (f.objective - f.lam * float(np.abs(f.beta_hat).sum()))
+              + math.log(n) / n * len(f.support) for f in fits]
+    best = select_bic(scores, fits)
+    return fits[best], intercepts[best]
 
 
 def _validation_auc(direction: Direction, val: Dataset) -> float | None:
@@ -203,10 +192,7 @@ def _replicate(cfg: ExperimentConfig, rep: int) -> list:
             pi_q_hat=estimate_pi_q(subset),
         )
 
-    usable = [d for d in per_q_dirs if not d.degenerate]
-    combined = combine_directions(usable) if usable else Direction(
-        v=np.zeros(spec.p), degenerate=True
-    )
+    combined = combine_directions(per_q_dirs)
     record(
         "ulasso_combined",
         mse=mse_direction(combined, beta0_dir),
@@ -412,17 +398,14 @@ def write_csv(ds: Dataset, path, s_column: str = "S", y_column: str = "Y",
             writer.writerow(row)
 
 
-def fit_real(
-    ds: Dataset,
-    q_values,
-    grid: GridParams = GridParams(),
-    tol: float = 1e-7,
-) -> dict:
+def fit_real(ds: Dataset, q_values) -> dict:
     """Real-data workflow: per-q tail fits, their combination, and the
     full-data surrogate-index baseline.
 
-    Directions are oriented by positive inner product with the full-data
-    least-squares direction of the surrogate on the covariates. Label-based
+    Each tail fit uses the default penalty grid and BIC pick of
+    ``fit_ulasso``. Directions are oriented by positive inner product with the
+    full-data least-squares direction of the surrogate on the covariates;
+    degenerate ones are left out of the combination. Label-based
     quantities (pi_q_hat, auc) appear only when the dataset carries labels.
     """
     q_values = [float(q) for q in q_values]
@@ -443,7 +426,7 @@ def fit_real(
     }
     directions = []
     for q in q_values:
-        fit, trace, subset = fit_ulasso(ds, q, grid_params=grid, tol=tol)
+        fit, trace, subset = fit_ulasso(ds, q)
         direction = normalize_direction(
             fit.beta_hat, identity, beta_ref=alpha_dir.v,
             orientation=Orientation.SURROGATE_ALPHA,
@@ -468,10 +451,7 @@ def fit_real(
             if not direction.degenerate:
                 entry["auc"] = auc(ds.x @ fit.beta_hat, ds.y)
         report["q_fits"].append(entry)
-    usable = [d for d in directions if not d.degenerate]
-    combined = combine_directions(usable) if usable else Direction(
-        v=np.zeros(ds.p), degenerate=True
-    )
+    combined = combine_directions(directions)
     report["combined"] = {
         "direction": combined.v.tolist(),
         "degenerate": combined.degenerate,

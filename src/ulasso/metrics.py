@@ -99,15 +99,17 @@ def tpr_fpr(support_est: set, support_true: set, p: int) -> tuple[float, float]:
 
 
 def combine_directions(dirs: list[Direction]) -> Direction:
-    """Coordinate-wise mean of unit directions, renormalized to unit length.
+    """Coordinate-wise mean of the non-degenerate directions, renormalized.
 
-    Inputs must already be consistently oriented; exact cancellation yields the
-    degenerate Direction. The orientation tag is kept when all inputs share it.
+    Inputs must already be consistently oriented; no usable input or exact
+    cancellation yields the degenerate Direction. The orientation tag is kept
+    when all used inputs share it.
     """
     if not dirs:
         raise ValueError("combine_directions requires at least one direction")
-    mean = np.mean([d.v for d in dirs], axis=0)
-    refs = {d.orientation_ref for d in dirs}
+    usable = [d for d in dirs if not d.degenerate]
+    mean = np.mean([d.v for d in usable], axis=0) if usable else np.zeros_like(dirs[0].v)
+    refs = {d.orientation_ref for d in usable}
     orientation = refs.pop() if len(refs) == 1 else Orientation.NONE
     norm = np.linalg.norm(mean)
     if norm == 0.0:

@@ -36,6 +36,7 @@ DEFAULT_TOL = 1e-7
 DEFAULT_MAX_SWEEPS = 10_000
 _LOGISTIC_WEIGHT_FLOOR = 1e-5
 _LOGISTIC_BETA_CAP = 30.0
+_LOGISTIC_MAX_OUTER = 100
 
 
 class SolverError(RuntimeError):
@@ -44,7 +45,7 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class CenteredDesign:
-    """Column-centered covariates and centered response, with per-column scales.
+    """Column-centered covariates and centered response, with per-column mean squares.
 
     Array fields are read-only. Arrays passed in already read-only are kept as
     they are (``center_xy`` freezes the ones it allocates); others are copied.
@@ -52,12 +53,10 @@ class CenteredDesign:
 
     x_tilde: np.ndarray
     y_tilde: np.ndarray
-    col_means: np.ndarray
-    y_mean: float
     col_sq_norms: np.ndarray
 
     def __post_init__(self):
-        for name in ("x_tilde", "y_tilde", "col_means", "col_sq_norms"):
+        for name in ("x_tilde", "y_tilde", "col_sq_norms"):
             a = np.asarray(getattr(self, name), dtype=float)
             object.__setattr__(self, name, _frozen_array(a) if a.flags.writeable else a)
         xt, yt = self.x_tilde, self.y_tilde
@@ -83,20 +82,12 @@ def center_xy(x: np.ndarray, y: np.ndarray) -> CenteredDesign:
     y = np.asarray(y, dtype=float)
     if x.shape[0] < 2:
         raise ValueError("need at least two rows to center")
-    col_means = x.mean(axis=0)
-    y_mean = float(y.mean())
-    x_tilde = x - col_means
-    y_tilde = y - y_mean
+    x_tilde = x - x.mean(axis=0)
+    y_tilde = y - float(y.mean())
     col_sq = np.einsum("ij,ij->j", x_tilde, x_tilde) / x.shape[0]
-    for a in (x_tilde, y_tilde, col_means, col_sq):
+    for a in (x_tilde, y_tilde, col_sq):
         a.setflags(write=False)
-    return CenteredDesign(
-        x_tilde=x_tilde,
-        y_tilde=y_tilde,
-        col_means=col_means,
-        y_mean=y_mean,
-        col_sq_norms=col_sq,
-    )
+    return CenteredDesign(x_tilde=x_tilde, y_tilde=y_tilde, col_sq_norms=col_sq)
 
 
 def center(subset: ExtremeSubset) -> CenteredDesign:
@@ -309,7 +300,6 @@ def logistic_lasso_fit(
     y: np.ndarray,
     lam: float,
     tol: float = 1e-7,
-    max_outer: int = 100,
     beta_init: np.ndarray | None = None,
     intercept_init: float | None = None,
 ) -> tuple[FitResult, float]:
@@ -335,7 +325,7 @@ def logistic_lasso_fit(
     b0 = float(np.log(y_bar / (1.0 - y_bar))) if intercept_init is None else float(intercept_init)
     converged = False
     total_sweeps = 0
-    for _ in range(max_outer):
+    for _ in range(_LOGISTIC_MAX_OUTER):
         eta = b0 + x @ beta
         prob = _expit(eta)
         w = np.maximum(prob * (1.0 - prob), _LOGISTIC_WEIGHT_FLOOR)

@@ -1,4 +1,4 @@
-"""Penalty-grid construction, BIC scoring, and the end-to-end tail-regression fit."""
+"""Penalty grids, BIC scoring and selection, and the end-to-end tail-regression fit."""
 
 from __future__ import annotations
 
@@ -10,16 +10,15 @@ import numpy as np
 from .extremes import extract_extreme_subset
 from .model import Dataset, ExtremeSubset, FitResult
 from .solver import (
-    DEFAULT_MAX_SWEEPS,
-    DEFAULT_TOL,
     CenteredDesign,
+    SolverError,
     center,
     lasso_path,
     null_threshold,
     objective_value,
 )
 
-__all__ = ["GridParams", "TuningTrace", "lambda_grid", "bic_score", "fit_ulasso"]
+__all__ = ["GridParams", "TuningTrace", "select_bic", "lambda_grid", "bic_score", "fit_ulasso"]
 
 
 @dataclass(frozen=True)
@@ -35,10 +34,27 @@ class GridParams:
         if not (0.0 < self.ratio < 1.0):
             raise ValueError("ratio must lie in (0, 1)")
 
+    def lambdas(self, lam_max: float) -> np.ndarray:
+        """The descending grid from lam_max down to ratio * lam_max."""
+        return lam_max * np.logspace(0.0, math.log10(self.ratio), num=self.n_points)
+
+
+def select_bic(scores: np.ndarray, fits: list | None) -> int:
+    """Index of the first minimum score among the converged fits, or among all
+    scores when ``fits`` is None; on a descending grid ties go to the largest
+    penalty. Raises ``SolverError`` when no fit converged."""
+    scores = np.asarray(scores, dtype=float)
+    converged = [True] * scores.size if fits is None else [f.converged for f in fits]
+    eligible = np.flatnonzero(converged)
+    if eligible.size == 0:
+        raise SolverError("no converged fit on the penalty grid")
+    return int(eligible[np.argmin(scores[eligible])])
+
 
 @dataclass(frozen=True)
 class TuningTrace:
-    """Grid, per-penalty scores, and the index selected (ties go to the sparser fit)."""
+    """Grid, per-penalty scores, and the index ``select_bic`` picks (among the
+    converged ``fits`` when given; ties go to the sparser fit)."""
 
     lambdas: np.ndarray
     bic_values: np.ndarray
@@ -54,23 +70,23 @@ class TuningTrace:
             raise ValueError("lambdas must be strictly descending")
         if not (0 <= self.selected_index < lams.size):
             raise ValueError("selected_index out of range")
-        if vals[self.selected_index] != vals.min():
-            raise ValueError("selected_index must attain the minimum score")
-        if int(np.argmin(vals)) != self.selected_index:
+        best = select_bic(vals, self.fits or None)
+        if vals[self.selected_index] != vals[best]:
+            raise ValueError("selected_index must attain the minimum eligible score")
+        if self.selected_index != best:
             raise ValueError("ties must resolve to the largest penalty")
 
 
-def lambda_grid(design: CenteredDesign, n_points: int = 100, ratio: float = 1e-4) -> np.ndarray:
+def lambda_grid(design: CenteredDesign, grid: GridParams = GridParams()) -> np.ndarray:
     """Log-spaced descending grid from lam_max = 2*||(1/n) x_t' y_t||_inf down to ratio*lam_max.
 
     lam_max is the exact threshold at which the all-zero vector solves the
     penalized problem under the mean-squared-error normalization.
     """
-    GridParams(n_points=n_points, ratio=ratio)
     lam_max = null_threshold(design)
     if lam_max <= 0.0:
         raise ValueError("degenerate design: all covariate-response correlations are zero")
-    return lam_max * np.logspace(0.0, math.log10(ratio), num=n_points)
+    return grid.lambdas(lam_max)
 
 
 def bic_score(design: CenteredDesign, fit: FitResult, n_q: int) -> float:
@@ -80,24 +96,20 @@ def bic_score(design: CenteredDesign, fit: FitResult, n_q: int) -> float:
 
 
 def fit_ulasso(
-    ds: Dataset,
-    q: float,
-    grid_params: GridParams = GridParams(),
-    tol: float = DEFAULT_TOL,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
+    ds: Dataset, q: float, grid_params: GridParams = GridParams()
 ) -> tuple[FitResult, TuningTrace, ExtremeSubset]:
     """Extract the extreme subset, fit the penalty path, and pick the BIC minimizer.
 
-    Ties in the score resolve to the largest penalty, preferring the sparser
-    solution. Returns the chosen fit together with the full trace and the
-    subset it was computed on.
+    ``select_bic`` picks among the converged fits, ties going to the sparser
+    one; the trace keeps every raw score. Returns the chosen fit, the trace
+    and the subset; raises ``SolverError`` when no path fit converged.
     """
     subset = extract_extreme_subset(ds, q)
     design = center(subset)
-    lams = lambda_grid(design, n_points=grid_params.n_points, ratio=grid_params.ratio)
-    fits = lasso_path(design, lams, tol=tol, max_sweeps=max_sweeps)
+    lams = lambda_grid(design, grid_params)
+    fits = lasso_path(design, lams)
     scores = np.array([bic_score(design, fit, subset.n_q) for fit in fits])
-    selected = int(np.argmin(scores))
+    selected = select_bic(scores, fits)
     trace = TuningTrace(
         lambdas=lams,
         bic_values=scores,

@@ -125,6 +125,20 @@ class TestFit:
                      "--q", "0.5", "--out", str(tmp_path / "r.json")])
         assert code == 3
 
+    def test_solver_error_exits_3(self, tmp_path, synthetic_fit_csv, monkeypatch, capsys):
+        import ulasso.cli as cli
+        from ulasso.solver import SolverError
+
+        def failing(ds, q_values):
+            raise SolverError("no converged fit on the penalty grid")
+
+        monkeypatch.setattr(cli, "fit_real", failing)
+        code = main(["fit", "--data", str(synthetic_fit_csv), "--s-col", "S",
+                     "--q", "0.1", "--out", str(tmp_path / "r.json")])
+        assert code == 3
+        assert "solver error: no converged fit" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
 
 class TestOracle:
     def test_prints_report(self, capsys):

@@ -15,6 +15,14 @@ def _dataset_from_s(s):
     return Dataset(x=s[:, None], s=s)
 
 
+def _argsort_reference(s, k):
+    """Lower tail then upper tail, each in row order: the k first rows of a
+    stable ascending, resp. descending, argsort."""
+    lo = np.sort(np.argsort(s, kind="stable")[:k])
+    hi = np.sort(np.argsort(-s, kind="stable")[:k])
+    return np.concatenate([lo, hi])
+
+
 class TestTailThresholds:
     def test_permutation_of_1_to_100(self, rng):
         s = rng.permutation(np.arange(1.0, 101.0))
@@ -95,6 +103,19 @@ class TestExtractExtremeSubset:
         assert int((sub.s_sub >= sub.delta_hi).sum()) == k
         inside = (ds.s > sub.delta_lo) & (ds.s < sub.delta_hi)
         assert not np.any(np.isin(np.nonzero(inside)[0], sub.source_indices))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=-3, max_value=3), min_size=2, max_size=120),
+        st.floats(min_value=0.001, max_value=1.0),
+    )
+    def test_heavy_ties_match_argsort_reference(self, values, q):
+        s = np.array(values, dtype=float)
+        try:
+            sub = extract_extreme_subset(_dataset_from_s(s), q)
+        except (DegenerateTailsError, ValueError):
+            return
+        assert np.array_equal(sub.source_indices, _argsort_reference(s, sub.n_q // 2))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31))

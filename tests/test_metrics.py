@@ -195,3 +195,13 @@ class TestCombineDirections:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             combine_directions([])
+
+    def test_degenerate_inputs_skipped(self):
+        a = Direction(v=np.array([0.6, 0.8]), orientation_ref=Orientation.TRUE_BETA)
+        b = Direction(v=np.array([1.0, 0.0]), orientation_ref=Orientation.TRUE_BETA)
+        zero = Direction(v=np.zeros(2), degenerate=True)
+        mixed = combine_directions([zero, a, zero, b])
+        alone = combine_directions([a, b])
+        assert np.array_equal(mixed.v, alone.v)
+        assert mixed.orientation_ref == alone.orientation_ref
+        assert combine_directions([zero, zero]).degenerate

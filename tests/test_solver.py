@@ -66,7 +66,6 @@ class TestCenter:
         sub = extract_extreme_subset(pop_100k, 0.02)
         d = center(sub)
         assert set(np.unique(d.y_tilde)) == {-0.5, 0.5}
-        assert d.y_mean == 0.5
 
     def test_columns_mean_zero_random(self, rng):
         x = rng.standard_normal((4, 2)) * 7.0 + 3.0
@@ -78,7 +77,7 @@ class TestCenter:
 
     def test_arrays_frozen(self, rng):
         d = center_xy(rng.standard_normal((5, 2)), rng.standard_normal(5))
-        for a in (d.x_tilde, d.y_tilde, d.col_means, d.col_sq_norms):
+        for a in (d.x_tilde, d.y_tilde, d.col_sq_norms):
             with pytest.raises(ValueError):
                 a[0] = 1.0
 
@@ -87,8 +86,6 @@ class TestCenter:
             CenteredDesign(
                 x_tilde=np.ones((3, 1)),
                 y_tilde=np.array([-1.0, 0.0, 1.0]),
-                col_means=np.zeros(1),
-                y_mean=0.0,
                 col_sq_norms=np.ones(1),
             )
 

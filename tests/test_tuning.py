@@ -5,11 +5,19 @@ import math
 import numpy as np
 import pytest
 
+from ulasso import solver, tuning
 from ulasso.extremes import extract_extreme_subset
 from ulasso.model import Dataset, DesignSpec, FitResult
 from ulasso.sampler import gen_population, rng_stream
-from ulasso.solver import center, center_xy, lasso_fit, lasso_path
-from ulasso.tuning import GridParams, TuningTrace, bic_score, fit_ulasso, lambda_grid
+from ulasso.solver import SolverError, center, center_xy, lasso_fit, lasso_path
+from ulasso.tuning import (
+    GridParams,
+    TuningTrace,
+    bic_score,
+    fit_ulasso,
+    lambda_grid,
+    select_bic,
+)
 
 
 def _design(rng, n=200, p=6):
@@ -21,7 +29,7 @@ def _design(rng, n=200, p=6):
 class TestLambdaGrid:
     def test_two_point_grid(self, rng):
         d = _design(rng)
-        grid = lambda_grid(d, n_points=2, ratio=0.5)
+        grid = lambda_grid(d, GridParams(n_points=2, ratio=0.5))
         lam_max = 2.0 * np.abs(d.x_tilde.T @ d.y_tilde / d.n).max()
         assert np.allclose(grid, [lam_max, lam_max / 2.0])
 
@@ -69,12 +77,31 @@ class TestBicScore:
     def test_minimizer_matches_exhaustive_grid_scoring(self, pop_100k):
         sub = extract_extreme_subset(pop_100k, 0.02)
         d = center(sub)
-        lams = lambda_grid(d, n_points=40, ratio=1e-3)
+        lams = lambda_grid(d, GridParams(n_points=40, ratio=1e-3))
         fits = lasso_path(d, lams)
         scores = [bic_score(d, f, sub.n_q) for f in fits]
         brute_best = min(range(len(scores)), key=lambda i: (scores[i], i))
         _, trace, _ = fit_ulasso(pop_100k, 0.02, grid_params=GridParams(n_points=40, ratio=1e-3))
         assert trace.selected_index == brute_best
+
+
+def _fit_result(converged):
+    return FitResult(beta_hat=np.zeros(2), lam=1.0, support=frozenset(),
+                     kkt_residual=0.0, objective=0.0, n_iterations=1, converged=converged)
+
+
+class TestSelectBic:
+    def test_unconverged_minimum_skipped(self):
+        fits = [_fit_result(True), _fit_result(False), _fit_result(True)]
+        assert select_bic([0.3, 0.1, 0.2], fits) == 2
+
+    def test_tie_goes_to_lower_index(self):
+        fits = [_fit_result(False), _fit_result(True), _fit_result(True)]
+        assert select_bic([0.1, 0.2, 0.2], fits) == 1
+
+    def test_no_converged_fit_raises(self):
+        with pytest.raises(SolverError, match="no converged fit"):
+            select_bic([0.1, 0.2], [_fit_result(False), _fit_result(False)])
 
 
 class TestTuningTrace:
@@ -110,6 +137,16 @@ class TestFitUlasso:
         fit, _, sub = fit_ulasso(pop_100k, 0.02)
         assert fit.converged
         assert fit.kkt_residual <= 10.0 * 1e-7
+
+    def test_unconverged_path_fits_never_selected(self, pop_100k, monkeypatch):
+        def one_sweep(design, lams, **kw):
+            return solver.lasso_path(design, lams, max_sweeps=1)
+
+        monkeypatch.setattr(tuning, "lasso_path", one_sweep)
+        fit, trace, _ = fit_ulasso(pop_100k, 0.02)
+        assert not all(f.converged for f in trace.fits)
+        assert fit.converged
+        assert fit is trace.fits[trace.selected_index]
 
     def test_full_sample_fit_tracks_surrogate_index_not_outcome(self):
         # alpha0 and beta0 deliberately far apart; with q = 1 the fit must
