@@ -11,7 +11,7 @@ from ulasso.sampler import SimulationConfig, XiLaw, design_from_config, gen_popu
 from ulasso.solver import (
     DEFAULT_MAX_SWEEPS,
     CenteredDesign,
-    _coordinate_descent,
+    _gram_cd,
     center,
     center_xy,
     gradient_t,
@@ -60,7 +60,8 @@ class TestCenter:
         x = np.column_stack([np.full(6, 3.0), np.arange(6.0)])
         d = center_xy(x, np.arange(6.0))
         assert np.all(d.x_tilde[:, 0] == 0.0)
-        assert d.col_sq_norms[0] == 0.0
+        assert d.gram[0, 0] == 0.0
+        assert d.corr[0] == 0.0
 
     def test_balanced_labels_center_to_halves(self, pop_100k):
         sub = extract_extreme_subset(pop_100k, 0.02)
@@ -77,7 +78,7 @@ class TestCenter:
 
     def test_arrays_frozen(self, rng):
         d = center_xy(rng.standard_normal((5, 2)), rng.standard_normal(5))
-        for a in (d.x_tilde, d.y_tilde, d.col_sq_norms):
+        for a in (d.x_tilde, d.y_tilde, d.gram, d.corr):
             with pytest.raises(ValueError):
                 a[0] = 1.0
 
@@ -86,7 +87,6 @@ class TestCenter:
             CenteredDesign(
                 x_tilde=np.ones((3, 1)),
                 y_tilde=np.array([-1.0, 0.0, 1.0]),
-                col_sq_norms=np.ones(1),
             )
 
 
@@ -160,8 +160,8 @@ class TestLassoFit:
     def test_objective_monotone_across_sweeps(self, rng):
         d = _random_design(rng, 80, 10)
         log = []
-        _coordinate_descent(
-            d.x_tilde, d.y_tilde, d.col_sq_norms, 0.05, 1e-9, 500,
+        _gram_cd(
+            d.x_tilde, d.y_tilde, d.gram, d.corr, 0.05, 1e-9, 500,
             objective_log=log,
         )
         diffs = np.diff(np.asarray(log))
@@ -210,6 +210,12 @@ class TestLassoPath:
             cold = lasso_fit(d, float(lam), tol=tol)
             assert np.abs(fit.beta_hat - cold.beta_hat).max() <= 10.0 * tol
 
+    def test_exact_finish_certifies_to_roundoff(self, rng):
+        d = _random_design(rng, 200, 20)
+        for fit in lasso_path(d, null_threshold(d) * np.logspace(0, -3, 30)):
+            assert fit.converged
+            assert fit.kkt_residual <= 1e-12
+
     def test_duplicate_lambda_rejected(self, rng):
         d = _random_design(rng, 20, 3)
         with pytest.raises(ValueError, match="descending"):
@@ -223,6 +229,55 @@ class TestLassoPath:
         fits = lasso_path(d, lams, tol=tol)
         norms = np.array([np.abs(f.beta_hat).sum() for f in fits])
         assert np.all(np.diff(norms) >= -10.0 * tol)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**31),
+        st.integers(min_value=3, max_value=60),
+        st.integers(min_value=1, max_value=12),
+    )
+    def test_negated_response_negates_path(self, seed, n, p):
+        rng = np.random.default_rng(seed)
+        x, y = rng.standard_normal((n, p)), rng.standard_normal(n)
+        d = center_xy(x, y)
+        lams = null_threshold(d) * np.logspace(0, -4, 30)
+        for fit, neg in zip(lasso_path(d, lams), lasso_path(center_xy(x, -y), lams)):
+            assert np.array_equal(neg.beta_hat, -fit.beta_hat)
+            assert neg.converged == fit.converged
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**31),
+        st.integers(min_value=1, max_value=10),
+        st.integers(min_value=1, max_value=40),
+    )
+    def test_row_permutation_leaves_path_unchanged(self, seed, p, extra_rows):
+        rng = np.random.default_rng(seed)
+        n = p + extra_rows
+        x, y = rng.standard_normal((n, p)), rng.standard_normal(n)
+        perm = rng.permutation(n)
+        d = center_xy(x, y)
+        lams = null_threshold(d) * np.logspace(0, -4, 30)
+        for fit, moved in zip(lasso_path(d, lams), lasso_path(center_xy(x[perm], y[perm]), lams)):
+            # Summation order changes with the rows; on near-singular designs
+            # the coefficients, and their rounding, grow large.
+            scale = max(1.0, np.abs(fit.beta_hat).max())
+            assert np.abs(moved.beta_hat - fit.beta_hat).max() <= 1e-8 * scale
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**31),
+        st.integers(min_value=2, max_value=12),
+        st.integers(min_value=1, max_value=20),
+    )
+    def test_wide_design_path_certified_or_flagged(self, seed, n, extra_cols):
+        # p > n: gram[A, A] can be singular and the dense end is not unique.
+        rng = np.random.default_rng(seed)
+        d = _random_design(rng, n, n + extra_cols)
+        tol = 1e-7
+        for fit in lasso_path(d, null_threshold(d) * np.logspace(0, -4, 30), tol=tol):
+            assert fit.kkt_residual == kkt_residual(d, fit.beta_hat, fit.lam)
+            assert not fit.converged or fit.kkt_residual <= 10.0 * tol
 
 
 class TestLogisticLasso:
