@@ -9,8 +9,6 @@ from .model import (
     Direction,
     ExtremeSubset,
     FitResult,
-    Orientation,
-    OutcomeNoise,
 )
 from .sampler import SimulationConfig, XiLaw
 from .tuning import GridParams, TuningTrace, fit_ulasso
@@ -22,8 +20,6 @@ __all__ = [
     "Direction",
     "ExtremeSubset",
     "FitResult",
-    "Orientation",
-    "OutcomeNoise",
     "SimulationConfig",
     "XiLaw",
     "GridParams",

@@ -11,21 +11,22 @@ Exit codes: 0 success, 2 configuration error, 3 data or solver error, 4 experime
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import sys
 from pathlib import Path
 
 from .harness import (
+    REPLICATION_COLUMNS,
     CsvFormatError,
     ExperimentAbortedError,
     ExperimentConfig,
-    _format_cell,
     emit_tables,
     fit_real,
     load_csv,
     run_experiment,
+    write_json,
+    write_records_csv,
 )
 from .model import DegenerateTailsError
 from .oracle import theory_report
@@ -37,8 +38,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_ABORTED = 4
-
-_REPLICATION_COLUMNS = ("rep", "estimator", "q", "mse", "auc", "tpr", "fpr", "n_q", "pi_q_hat")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -104,6 +103,10 @@ _CONFIG_DEFAULTS = {
     "grid_ratio": 1e-4,
 }
 
+# simulate flag (argparse dest) -> the config key it overrides
+_FLAG_KEYS = {"p": "p", "rho": "rho", "xi_law": "xi_law", "n_pop": "n_pop", "q": "q_values",
+              "supervised_size": "supervised_sizes", "validation_size": "validation_size"}
+
 
 def _experiment_config(args) -> ExperimentConfig:
     values = dict(_CONFIG_DEFAULTS)
@@ -114,20 +117,8 @@ def _experiment_config(args) -> ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         values.update(loaded)
-    if args.p is not None:
-        values["p"] = args.p
-    if args.rho is not None:
-        values["rho"] = args.rho
-    if args.xi_law is not None:
-        values["xi_law"] = args.xi_law
-    if args.n_pop is not None:
-        values["n_pop"] = args.n_pop
-    if args.q:
-        values["q_values"] = args.q
-    if args.supervised_size:
-        values["supervised_sizes"] = args.supervised_size
-    if args.validation_size is not None:
-        values["validation_size"] = args.validation_size
+    values.update({key: getattr(args, flag) for flag, key in _FLAG_KEYS.items()
+                   if getattr(args, flag) is not None})
     sim = SimulationConfig(
         p=int(values["p"]),
         rho=float(values["rho"]),
@@ -146,12 +137,6 @@ def _experiment_config(args) -> ExperimentConfig:
     )
 
 
-def _json_dump(payload, path: Path) -> None:
-    with path.open("w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
 def _cmd_simulate(args) -> int:
     try:
         cfg = _experiment_config(args)
@@ -166,11 +151,7 @@ def _cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     emit_tables(result.rows, args.format, out)
-    with (out / "replications.csv").open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(_REPLICATION_COLUMNS)
-        for rec in result.replications:
-            writer.writerow([_format_cell(rec[c]) for c in _REPLICATION_COLUMNS])
+    write_records_csv(out / "replications.csv", REPLICATION_COLUMNS, result.replications)
     summary = {
         "config": {
             "p": cfg.sim.p,
@@ -182,11 +163,14 @@ def _cmd_simulate(args) -> int:
             "n_replications": cfg.n_replications,
             "validation_size": cfg.validation_size,
             "seed": cfg.seed,
+            "grid_points": cfg.grid.n_points,
+            "grid_ratio": cfg.grid.ratio,
         },
         "failures": result.failures,
         "rows": [dataclasses.asdict(row) for row in result.rows],
     }
-    _json_dump(summary, out / "summary.json")
+    with (out / "summary.json").open("w") as handle:
+        write_json(summary, handle)
     return EXIT_OK
 
 
@@ -213,7 +197,8 @@ def _cmd_fit(args) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    _json_dump(report, args.out)
+    with args.out.open("w") as handle:
+        write_json(report, handle)
     return EXIT_OK
 
 
@@ -231,10 +216,10 @@ def _cmd_oracle(args) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    text = json.dumps(reports, indent=2, sort_keys=True)
-    print(text)
+    write_json(reports, sys.stdout)
     if args.out is not None:
-        args.out.write_text(text + "\n")
+        with args.out.open("w") as handle:
+            write_json(reports, handle)
     return EXIT_OK
 
 

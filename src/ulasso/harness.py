@@ -28,7 +28,7 @@ from .metrics import (
     relative_efficiency,
     tpr_fpr,
 )
-from .model import Dataset, DegenerateTailsError, Direction, Orientation
+from .model import Dataset, DegenerateTailsError, Direction
 from .sampler import SimulationConfig, design_from_config, gen_population, rng_stream
 from .solver import SolverError, logistic_lasso_fit
 from .tuning import GridParams, fit_ulasso, select_bic
@@ -39,17 +39,26 @@ __all__ = [
     "ExperimentConfig",
     "ResultRow",
     "ExperimentResult",
+    "REPLICATION_METRICS",
+    "REPLICATION_COLUMNS",
     "run_experiment",
     "load_csv",
     "write_csv",
     "fit_real",
     "emit_tables",
+    "write_records_csv",
+    "write_json",
 ]
 
 logger = logging.getLogger(__name__)
 
 _FAILURE_ABORT_FRACTION = 0.10
 _SLASSO_GRID = GridParams(n_points=50, ratio=1e-3)
+
+# Per-replication metrics, in the column order of replications.csv; every
+# estimator's aggregate row holds the mean of each.
+REPLICATION_METRICS = ("mse", "auc", "tpr", "fpr", "n_q", "pi_q_hat")
+REPLICATION_COLUMNS = ("rep", "estimator", "q") + REPLICATION_METRICS
 
 
 class ExperimentAbortedError(RuntimeError):
@@ -105,7 +114,7 @@ class ResultRow:
     pi_q_hat: float | None = None
 
     def __post_init__(self):
-        for name in ("mse", "auc", "tpr", "fpr", "n_q", "pi_q_hat"):
+        for name in REPLICATION_METRICS:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
@@ -161,19 +170,12 @@ def _replicate(cfg: ExperimentConfig, rep: int) -> list:
     support_true = set(np.nonzero(spec.beta0)[0])
     records = []
 
-    def record(estimator, q=None, mse=None, auc_val=None, tpr=None, fpr=None,
-               n_q=None, pi_q_hat=None):
-        records.append({
-            "rep": rep,
-            "estimator": estimator,
-            "q": q,
-            "mse": mse,
-            "auc": auc_val,
-            "tpr": tpr,
-            "fpr": fpr,
-            "n_q": n_q,
-            "pi_q_hat": pi_q_hat,
-        })
+    def record(estimator, q=None, **metrics):
+        unknown = metrics.keys() - set(REPLICATION_METRICS)
+        if unknown:
+            raise TypeError(f"unknown replication metrics: {sorted(unknown)}")
+        records.append({"rep": rep, "estimator": estimator, "q": q,
+                        **{name: metrics.get(name) for name in REPLICATION_METRICS}})
 
     per_q_dirs = []
     for q in cfg.q_values:
@@ -185,7 +187,7 @@ def _replicate(cfg: ExperimentConfig, rep: int) -> list:
             f"ulasso_q{q:g}",
             q=q,
             mse=mse_direction(direction, beta0_dir),
-            auc_val=_validation_auc(direction, val),
+            auc=_validation_auc(direction, val),
             tpr=tpr,
             fpr=fpr,
             n_q=subset.n_q,
@@ -196,7 +198,7 @@ def _replicate(cfg: ExperimentConfig, rep: int) -> list:
     record(
         "ulasso_combined",
         mse=mse_direction(combined, beta0_dir),
-        auc_val=_validation_auc(combined, val),
+        auc=_validation_auc(combined, val),
     )
 
     for n_lab in cfg.supervised_sizes:
@@ -209,7 +211,7 @@ def _replicate(cfg: ExperimentConfig, rep: int) -> list:
         record(
             f"slasso_n{n_lab}",
             mse=mse_direction(direction, beta0_dir),
-            auc_val=_validation_auc(direction, val),
+            auc=_validation_auc(direction, val),
             tpr=tpr,
             fpr=fpr,
         )
@@ -218,12 +220,12 @@ def _replicate(cfg: ExperimentConfig, rep: int) -> list:
     record(
         "alpha0_benchmark",
         mse=mse_direction(alpha_dir, beta0_dir),
-        auc_val=_validation_auc(alpha_dir, val),
+        auc=_validation_auc(alpha_dir, val),
     )
     record(
         "beta0_oracle",
         mse=0.0,
-        auc_val=_validation_auc(beta0_dir, val),
+        auc=_validation_auc(beta0_dir, val),
     )
     return records
 
@@ -274,32 +276,20 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     for rec in replications:
         by_estimator.setdefault(rec["estimator"], []).append(rec)
 
-    mse_means = {
-        name: _mean_or_none([r["mse"] for r in recs])
+    means = {
+        name: {m: _mean_or_none([r[m] for r in recs]) for m in REPLICATION_METRICS}
         for name, recs in by_estimator.items()
     }
     rows = []
     for name, recs in by_estimator.items():
         re_vs = {}
         if name.startswith("ulasso"):
-            own = mse_means[name]
-            for other, other_mse in mse_means.items():
-                if other != name and other_mse is not None and own:
-                    re_vs[other] = relative_efficiency(other_mse, own)
-        rows.append(ResultRow(
-            setting=setting,
-            rho=cfg.sim.rho,
-            q=recs[0]["q"],
-            p=cfg.sim.p,
-            estimator=name,
-            mse=mse_means[name],
-            re_vs=re_vs,
-            auc=_mean_or_none([r["auc"] for r in recs]),
-            tpr=_mean_or_none([r["tpr"] for r in recs]),
-            fpr=_mean_or_none([r["fpr"] for r in recs]),
-            n_q=_mean_or_none([r["n_q"] for r in recs]),
-            pi_q_hat=_mean_or_none([r["pi_q_hat"] for r in recs]),
-        ))
+            own = means[name]["mse"]
+            for other, other_means in means.items():
+                if other != name and other_means["mse"] is not None and own:
+                    re_vs[other] = relative_efficiency(other_means["mse"], own)
+        rows.append(ResultRow(setting=setting, rho=cfg.sim.rho, q=recs[0]["q"], p=cfg.sim.p,
+                              estimator=name, re_vs=re_vs, **means[name]))
     rows.sort(key=lambda row: row.estimator)
     return ExperimentResult(rows=rows, replications=replications, failures=failures)
 
@@ -415,9 +405,7 @@ def fit_real(ds: Dataset, q_values) -> dict:
     s_t = ds.s - ds.s.mean()
     alpha_hat = np.linalg.lstsq(x_t, s_t, rcond=None)[0]
     identity = np.eye(ds.p)
-    alpha_dir = normalize_direction(
-        alpha_hat, identity, beta_ref=alpha_hat, orientation=Orientation.SURROGATE_ALPHA
-    )
+    alpha_dir = normalize_direction(alpha_hat, identity, beta_ref=alpha_hat)
     report = {
         "n_rows": ds.n_rows,
         "p": ds.p,
@@ -427,10 +415,7 @@ def fit_real(ds: Dataset, q_values) -> dict:
     directions = []
     for q in q_values:
         fit, trace, subset = fit_ulasso(ds, q)
-        direction = normalize_direction(
-            fit.beta_hat, identity, beta_ref=alpha_dir.v,
-            orientation=Orientation.SURROGATE_ALPHA,
-        )
+        direction = normalize_direction(fit.beta_hat, identity, beta_ref=alpha_dir.v)
         directions.append(direction)
         entry = {
             "q": q,
@@ -493,11 +478,30 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def write_records_csv(path, columns, records) -> None:
+    """Write ``columns`` as the header, then one row per record mapping.
+
+    A missing or None cell is empty; floats are written in shortest
+    round-trip form, so repeated runs are byte-identical.
+    """
+    with Path(path).open("w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(columns)
+        writer.writerows([_format_cell(rec.get(c)) for c in columns] for rec in records)
+
+
+def write_json(payload, handle) -> None:
+    """Write the JSON form of every output to a text handle: indent 2, sorted
+    keys, trailing newline."""
+    json.dump(payload, handle, indent=2, sort_keys=True)
+    handle.write("\n")
+
+
 def emit_tables(rows: list, fmt: str, out_dir) -> list:
     """Write one file per table kind (RE, AUC, TPR/FPR); returns the paths.
 
-    Column order follows the documented schemas; floats are written in
-    shortest round-trip form so repeated runs are byte-identical.
+    Column order follows the documented schemas; cells go through
+    ``write_records_csv`` or ``write_json``.
     """
     if not rows:
         raise ValueError("emit_tables requires at least one result row")
@@ -510,14 +514,9 @@ def emit_tables(rows: list, fmt: str, out_dir) -> list:
         records = _table_records(rows, kind)
         path = out_dir / f"table_{kind}.{fmt}"
         if fmt == "csv":
-            with path.open("w", newline="") as handle:
-                writer = csv.writer(handle)
-                writer.writerow(columns)
-                for rec in records:
-                    writer.writerow([_format_cell(rec.get(c)) for c in columns])
+            write_records_csv(path, columns, records)
         else:
             with path.open("w") as handle:
-                json.dump(records, handle, indent=2, sort_keys=True)
-                handle.write("\n")
+                write_json(records, handle)
         paths.append(path)
     return paths

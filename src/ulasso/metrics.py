@@ -7,7 +7,7 @@ import math
 import numpy as np
 from scipy.stats import rankdata
 
-from .model import Direction, Orientation
+from .model import Direction
 
 __all__ = [
     "normalize_direction",
@@ -23,7 +23,6 @@ def normalize_direction(
     v: np.ndarray,
     sigma_mat: np.ndarray,
     beta_ref: np.ndarray | None = None,
-    orientation: Orientation = Orientation.TRUE_BETA,
 ) -> Direction:
     """Scale to unit length and fix the sign against a reference direction.
 
@@ -36,10 +35,10 @@ def normalize_direction(
         raise ValueError("v must be finite")
     norm = np.linalg.norm(v)
     if norm == 0.0:
-        return Direction(v=np.zeros_like(v), orientation_ref=Orientation.NONE, degenerate=True)
+        return Direction(v=np.zeros_like(v), degenerate=True)
     unit = v / norm
     if beta_ref is None:
-        return Direction(v=unit, orientation_ref=Orientation.NONE)
+        return Direction(v=unit)
     inner = float(np.asarray(beta_ref, dtype=float) @ np.asarray(sigma_mat, dtype=float) @ unit)
     if inner < 0.0:
         unit = -unit
@@ -47,7 +46,7 @@ def normalize_direction(
         first = unit[np.nonzero(unit)[0][0]]
         if first < 0.0:
             unit = -unit
-    return Direction(v=unit, orientation_ref=orientation)
+    return Direction(v=unit)
 
 
 def mse_direction(est: Direction, truth: Direction) -> float:
@@ -102,16 +101,13 @@ def combine_directions(dirs: list[Direction]) -> Direction:
     """Coordinate-wise mean of the non-degenerate directions, renormalized.
 
     Inputs must already be consistently oriented; no usable input or exact
-    cancellation yields the degenerate Direction. The orientation tag is kept
-    when all used inputs share it.
+    cancellation yields the degenerate Direction.
     """
     if not dirs:
         raise ValueError("combine_directions requires at least one direction")
     usable = [d for d in dirs if not d.degenerate]
     mean = np.mean([d.v for d in usable], axis=0) if usable else np.zeros_like(dirs[0].v)
-    refs = {d.orientation_ref for d in usable}
-    orientation = refs.pop() if len(refs) == 1 else Orientation.NONE
     norm = np.linalg.norm(mean)
     if norm == 0.0:
-        return Direction(v=np.zeros_like(mean), orientation_ref=Orientation.NONE, degenerate=True)
-    return Direction(v=mean / norm, orientation_ref=orientation)
+        return Direction(v=np.zeros_like(mean), degenerate=True)
+    return Direction(v=mean / norm)

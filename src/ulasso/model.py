@@ -7,14 +7,11 @@ instances are immutable and safe to share across threads or processes.
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "OutcomeNoise",
-    "Orientation",
     "DegenerateTailsError",
     "DesignSpec",
     "Dataset",
@@ -24,20 +21,6 @@ __all__ = [
 ]
 
 _UNIT_TOL = 1e-12
-
-
-class OutcomeNoise(enum.Enum):
-    """Noise law of the binary-outcome threshold model."""
-
-    LOGISTIC_UNIT = "logistic-unit"
-
-
-class Orientation(enum.Enum):
-    """How the sign of a normalized direction was fixed."""
-
-    TRUE_BETA = "true-beta"
-    SURROGATE_ALPHA = "surrogate-alpha"
-    NONE = "none"
 
 
 class DegenerateTailsError(ValueError):
@@ -60,7 +43,8 @@ class DesignSpec:
     """Ground-truth population parameters of the two linked index models.
 
     ``s = alpha0' x + noise`` drives the surrogate and ``y = 1(beta0' x + eps > 0)``
-    the outcome; ``sigma_mat`` is the covariance of the Gaussian design.
+    the outcome, with ``eps`` standard logistic; ``sigma_mat`` is the
+    covariance of the Gaussian design.
     """
 
     p: int
@@ -68,7 +52,6 @@ class DesignSpec:
     beta0: np.ndarray
     alpha0: np.ndarray
     surrogate_noise_sd: float
-    outcome_noise: OutcomeNoise = OutcomeNoise.LOGISTIC_UNIT
 
     def __post_init__(self):
         if self.p < 1:
@@ -92,8 +75,6 @@ class DesignSpec:
             raise ValueError("alpha0 must not be the zero vector")
         if not (np.isfinite(self.surrogate_noise_sd) and self.surrogate_noise_sd >= 0.0):
             raise ValueError("surrogate_noise_sd must be a nonnegative real")
-        if not isinstance(self.outcome_noise, OutcomeNoise):
-            raise ValueError("outcome_noise must be an OutcomeNoise member")
         object.__setattr__(self, "sigma_mat", _frozen_array(sigma))
         object.__setattr__(self, "beta0", _frozen_array(beta0))
         object.__setattr__(self, "alpha0", _frozen_array(alpha0))
@@ -235,8 +216,7 @@ class Direction:
     """A unit vector, or the explicit degenerate all-zero estimate."""
 
     v: np.ndarray
-    orientation_ref: Orientation = Orientation.NONE
-    degenerate: bool = field(default=False)
+    degenerate: bool = False
 
     def __post_init__(self):
         v = np.asarray(self.v, dtype=float)
@@ -247,6 +227,4 @@ class Direction:
         else:
             if abs(np.linalg.norm(v) - 1.0) > _UNIT_TOL:
                 raise ValueError("v must be a unit vector within 1e-12")
-        if not isinstance(self.orientation_ref, Orientation):
-            raise ValueError("orientation_ref must be an Orientation member")
         object.__setattr__(self, "v", _frozen_array(v))

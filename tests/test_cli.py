@@ -71,6 +71,43 @@ class TestSimulate:
         assert summary["config"]["q_values"] == [0.1]  # flag wins
         assert summary["config"]["p"] == 9
 
+    def test_summary_echoes_penalty_grid(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "p": 9, "n_pop": 3000, "q_values": [0.2], "supervised_sizes": [200],
+            "validation_size": 2000, "grid_points": 50,
+        }))
+        out = tmp_path / "run"
+        code = main(["simulate", "--config", str(cfg), "--seed", "4", "--reps", "1",
+                     "--out", str(out)])
+        assert code == 0
+        config = json.loads((out / "summary.json").read_text())["config"]
+        assert config["grid_points"] == 50
+        assert config["grid_ratio"] == 1e-4
+
+    def test_json_tables_match_csv_tables(self, tmp_path):
+        import csv
+
+        from ulasso.harness import REPLICATION_COLUMNS, _format_cell
+
+        args = ["simulate", "--seed", "5", "--reps", "2", "--p", "9", "--n-pop", "3000",
+                "--q", "0.1", "--q", "0.2", "--supervised-size", "200",
+                "--validation-size", "2000"]
+        for fmt in ("csv", "json"):
+            assert main(args + ["--out", str(tmp_path / fmt), "--format", fmt]) == 0
+        for kind in ("re", "auc", "selection"):
+            with (tmp_path / "csv" / f"table_{kind}.csv").open(newline="") as fh:
+                reader = csv.DictReader(fh)
+                rows = list(reader)
+            records = json.loads((tmp_path / "json" / f"table_{kind}.json").read_text())
+            assert rows and len(records) == len(rows)
+            for rec, row in zip(records, rows):
+                assert set(rec) <= set(reader.fieldnames)
+                assert {c: _format_cell(rec.get(c)) for c in reader.fieldnames} == row
+        for fmt in ("csv", "json"):
+            with (tmp_path / fmt / "replications.csv").open(newline="") as fh:
+                assert tuple(next(csv.reader(fh))) == REPLICATION_COLUMNS
+
     def test_unknown_config_key_is_config_error(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"not_a_key": 1}))

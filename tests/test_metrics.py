@@ -15,7 +15,7 @@ from ulasso.metrics import (
     relative_efficiency,
     tpr_fpr,
 )
-from ulasso.model import Direction, Orientation
+from ulasso.model import Direction
 
 
 def _brute_force_auc(scores, labels):
@@ -36,7 +36,6 @@ class TestNormalizeDirection:
     def test_basic(self):
         d = normalize_direction(np.array([3.0, 4.0]), np.eye(2), np.array([1.0, 0.0]))
         assert np.allclose(d.v, [0.6, 0.8])
-        assert d.orientation_ref is Orientation.TRUE_BETA
 
     def test_sign_flip(self):
         d = normalize_direction(np.array([-3.0, -4.0]), np.eye(2), np.array([1.0, 0.0]))
@@ -48,12 +47,11 @@ class TestNormalizeDirection:
 
     def test_zero_vector_degenerate(self):
         d = normalize_direction(np.zeros(3), np.eye(3), np.ones(3))
-        assert d.degenerate and d.orientation_ref is Orientation.NONE
+        assert d.degenerate
 
     def test_no_reference_keeps_sign(self):
         d = normalize_direction(np.array([-2.0, 0.0]), np.eye(2))
         assert np.allclose(d.v, [-1.0, 0.0])
-        assert d.orientation_ref is Orientation.NONE
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -197,11 +195,10 @@ class TestCombineDirections:
             combine_directions([])
 
     def test_degenerate_inputs_skipped(self):
-        a = Direction(v=np.array([0.6, 0.8]), orientation_ref=Orientation.TRUE_BETA)
-        b = Direction(v=np.array([1.0, 0.0]), orientation_ref=Orientation.TRUE_BETA)
+        a = Direction(v=np.array([0.6, 0.8]))
+        b = Direction(v=np.array([1.0, 0.0]))
         zero = Direction(v=np.zeros(2), degenerate=True)
         mixed = combine_directions([zero, a, zero, b])
         alone = combine_directions([a, b])
         assert np.array_equal(mixed.v, alone.v)
-        assert mixed.orientation_ref == alone.orientation_ref
         assert combine_directions([zero, zero]).degenerate

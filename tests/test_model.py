@@ -10,7 +10,6 @@ from ulasso.model import (
     Direction,
     ExtremeSubset,
     FitResult,
-    Orientation,
 )
 
 
@@ -194,7 +193,7 @@ class TestFitResult:
 
 class TestDirection:
     def test_unit_ok(self):
-        d = Direction(v=np.array([0.6, 0.8]), orientation_ref=Orientation.TRUE_BETA)
+        d = Direction(v=np.array([0.6, 0.8]))
         assert not d.degenerate
 
     def test_non_unit_rejected(self):
