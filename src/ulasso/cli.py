@@ -88,7 +88,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _xi_law(name: str) -> XiLaw:
-    return XiLaw.NORMAL_3_1 if name == "normal" else XiLaw.UNIFORM_2_5
+    if name == "normal":
+        return XiLaw.NORMAL_3_1
+    if name == "uniform":
+        return XiLaw.UNIFORM_2_5
+    raise ValueError(f"unknown xi_law {name!r}: expected 'normal' or 'uniform'")
 
 
 _CONFIG_DEFAULTS = {

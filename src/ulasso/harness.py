@@ -13,6 +13,7 @@ import csv
 import json
 import logging
 import math
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -294,6 +295,72 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     return ExperimentResult(rows=rows, replications=replications, failures=failures)
 
 
+def _checked_lines(handle):
+    """Yield the handle's lines, raising at one that ``np.loadtxt`` reads unlike the row parser.
+
+    ``loadtxt`` skips blank lines, which the row parser reports, and strips
+    the separators U+001C..U+001F around a number, which ``float()`` rejects.
+    """
+    for line in handle:
+        if (line.isspace() or "\x1c" in line or "\x1d" in line
+                or "\x1e" in line or "\x1f" in line):
+            raise ValueError("line left to the row parser")
+        yield line
+
+
+def _fast_table(handle, n_columns: int, y_index: int | None) -> np.ndarray | None:
+    """Parse the remaining lines in one ``np.loadtxt`` pass, or None to defer.
+
+    The table is returned only when it holds the values the row parser would
+    return: ``n_columns`` finite columns with 0/1 labels. Anything else (a
+    quoted cell, a Unicode digit, a bad value) is left to the row parser,
+    which words the error.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            table = np.loadtxt(_checked_lines(handle), delimiter=",", comments=None,
+                               dtype=float, ndmin=2)
+    except ValueError:
+        return None
+    if table.shape[1] != n_columns or not np.isfinite(table).all():
+        return None
+    if y_index is not None:
+        y = table[:, y_index]
+        if not ((y == 0.0) | (y == 1.0)).all():
+            return None
+    return table
+
+
+def _parse_rows(path, reader, header: list, y_column: str | None) -> np.ndarray:
+    """Parse the reader's rows cell by cell, raising at the first bad cell in row-major order."""
+    col_index = {name: i for i, name in enumerate(header)}
+    rows = []
+    for row_num, row in enumerate(reader, start=2):
+        if len(row) != len(header):
+            raise CsvFormatError(f"{path}: row {row_num} has {len(row)} cells, expected {len(header)}")
+        parsed = []
+        for name in header:
+            cell = row[col_index[name]]
+            try:
+                value = float(cell) if "_" not in cell else math.nan
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise CsvFormatError(
+                    f"{path}: row {row_num}, column {name!r}: non-numeric value {cell!r}"
+                )
+            parsed.append(value)
+        if y_column is not None:
+            y_cell = parsed[col_index[y_column]]
+            if y_cell not in (0.0, 1.0):
+                raise CsvFormatError(
+                    f"{path}: row {row_num}, column {y_column!r}: label must be 0 or 1"
+                )
+        rows.append(parsed)
+    return np.array(rows, dtype=float).reshape(len(rows), len(header))
+
+
 def load_csv(
     path,
     s_column: str,
@@ -307,6 +374,11 @@ def load_csv(
     covariates, in header order. ``log1p_columns`` names covariate columns to
     transform as x -> log(1 + x); ``standardize`` rescales every covariate
     column to unit variance (zero-variance columns are left untouched).
+
+    The data rows are parsed in one streamed ``np.loadtxt`` pass. When that
+    pass fails or reads a value the rules reject, the file is parsed again
+    row by row, which accepts what ``float()`` accepts (quoted cells, Unicode
+    digits) and reports the first bad cell by row and column.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as handle:
@@ -330,32 +402,19 @@ def load_csv(
         if unknown:
             raise CsvFormatError(f"{path}: log1p columns not among covariates: {sorted(unknown)}")
         col_index = {name: i for i, name in enumerate(header)}
-        s_vals, y_vals, x_rows = [], [], []
-        for row_num, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise CsvFormatError(f"{path}: row {row_num} has {len(row)} cells, expected {len(header)}")
-            parsed = []
-            for name in header:
-                cell = row[col_index[name]]
-                try:
-                    value = float(cell) if "_" not in cell else math.nan
-                except ValueError:
-                    value = math.nan
-                if not math.isfinite(value):
-                    raise CsvFormatError(
-                        f"{path}: row {row_num}, column {name!r}: non-numeric value {cell!r}"
-                    )
-                parsed.append(value)
-            s_vals.append(parsed[col_index[s_column]])
-            if y_column is not None:
-                y_cell = parsed[col_index[y_column]]
-                if y_cell not in (0.0, 1.0):
-                    raise CsvFormatError(
-                        f"{path}: row {row_num}, column {y_column!r}: label must be 0 or 1"
-                    )
-                y_vals.append(y_cell)
-            x_rows.append([parsed[col_index[name]] for name in x_names])
-    x = np.asarray(x_rows, dtype=float)
+        y_index = col_index[y_column] if y_column is not None else None
+        table = _fast_table(handle, len(header), y_index)
+        if table is None:
+            handle.seek(0)
+            reader = csv.reader(handle)
+            next(reader)
+            table = _parse_rows(path, reader, header, y_column)
+    if table.shape[0] == 0:
+        raise CsvFormatError(f"{path}: no data rows")
+    # take() gathers in C order: an F-ordered x moves lstsq results in the last bits
+    x = table.take([col_index[name] for name in x_names], axis=1)
+    s = table[:, col_index[s_column]].copy()
+    y = table[:, y_index].copy() if y_index is not None else None
     for name in log1p_columns:
         j = x_names.index(name)
         if np.any(x[:, j] < 0.0):
@@ -365,7 +424,10 @@ def load_csv(
         sd = x.std(axis=0)
         nz = sd > 0.0
         x[:, nz] /= sd[nz]
-    return Dataset(x=x, s=np.asarray(s_vals), y=np.asarray(y_vals) if y_column else None)
+    for a in (x, s, y):
+        if a is not None:
+            a.setflags(write=False)
+    return Dataset(x=x, s=s, y=y)
 
 
 def write_csv(ds: Dataset, path, s_column: str = "S", y_column: str = "Y",

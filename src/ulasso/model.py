@@ -33,6 +33,14 @@ def _frozen_array(a, dtype=float) -> np.ndarray:
     return out
 
 
+def _owned_array(a) -> np.ndarray:
+    """``a`` as read-only float64: kept if already read-only and C-contiguous, else a frozen copy."""
+    a = np.asarray(a, dtype=float)
+    if a.flags.writeable or not a.flags.c_contiguous:
+        return _frozen_array(a)
+    return a
+
+
 def _require_finite(name: str, a: np.ndarray) -> None:
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} must be finite")
@@ -83,7 +91,12 @@ class DesignSpec:
 
 @dataclass(frozen=True)
 class Dataset:
-    """N observations of (surrogate, covariates), optionally with true labels."""
+    """N observations of (surrogate, covariates), optionally with true labels.
+
+    Read-only, C-contiguous float64 arrays are kept as they are, so a producer
+    that freezes the arrays it has just allocated hands them over without a
+    copy; any other input is copied and frozen.
+    """
 
     x: np.ndarray
     s: np.ndarray
@@ -98,8 +111,8 @@ class Dataset:
             raise ValueError("s must be a length-N vector")
         _require_finite("x", x)
         _require_finite("s", s)
-        object.__setattr__(self, "x", _frozen_array(x))
-        object.__setattr__(self, "s", _frozen_array(s))
+        object.__setattr__(self, "x", _owned_array(x))
+        object.__setattr__(self, "s", _owned_array(s))
         if self.y is not None:
             y = np.asarray(self.y, dtype=float)
             if y.shape != (x.shape[0],):
@@ -107,7 +120,7 @@ class Dataset:
             _require_finite("y", y)
             if not np.all((y == 0.0) | (y == 1.0)):
                 raise ValueError("y entries must all be 0 or 1")
-            object.__setattr__(self, "y", _frozen_array(y))
+            object.__setattr__(self, "y", _owned_array(y))
 
     @property
     def n_rows(self) -> int:

@@ -150,6 +150,8 @@ def gen_population(spec: DesignSpec, n_pop: int, seed) -> Dataset:
     s = x @ spec.alpha0 + eps_star
     eps = rng.logistic(loc=0.0, scale=1.0, size=n_pop)
     y = (x @ spec.beta0 + eps > 0.0).astype(float)
+    for a in (x, s, y):
+        a.setflags(write=False)
     return Dataset(x=x, s=s, y=y)
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ExtremeSubset, FitResult, _frozen_array
+from .model import ExtremeSubset, FitResult, _owned_array
 
 __all__ = [
     "SolverError",
@@ -58,8 +58,9 @@ class CenteredDesign:
 
     ``gram = x_tilde' x_tilde / n`` and ``corr = x_tilde' y_tilde / n`` are
     built once, at construction; the descent kernel reads only these two.
-    Array fields are read-only. Arrays passed in already read-only are kept as
-    they are (``center_xy`` freezes the ones it allocates); others are copied.
+    Array fields are read-only. Arrays passed in already read-only and
+    C-contiguous are kept as they are (``center_xy`` freezes the ones it
+    allocates); others are copied.
     """
 
     x_tilde: np.ndarray
@@ -69,8 +70,7 @@ class CenteredDesign:
 
     def __post_init__(self):
         for name in ("x_tilde", "y_tilde"):
-            a = np.asarray(getattr(self, name), dtype=float)
-            object.__setattr__(self, name, _frozen_array(a) if a.flags.writeable else a)
+            object.__setattr__(self, name, _owned_array(getattr(self, name)))
         xt, yt = self.x_tilde, self.y_tilde
         n = xt.shape[0]
         scale = max(1.0, float(np.abs(xt).max()) if xt.size else 1.0)

@@ -121,6 +121,16 @@ class TestSimulate:
                      "--p", "9", "--n-pop", "3000"])
         assert code == 2
 
+    @pytest.mark.parametrize("name", ["normal(3,1)", "Normal", "unifrom"])
+    def test_unknown_xi_law_is_config_error(self, tmp_path, capsys, name):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"xi_law": name}))
+        code = main(["simulate", "--config", str(cfg), "--seed", "1",
+                     "--reps", "1", "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert f"config error: unknown xi_law {name!r}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_missing_mandatory_flag_exits_2(self):
         proc = _run(["simulate", "--reps", "1", "--out", "/tmp/x"])
         assert proc.returncode == 2
@@ -161,6 +171,14 @@ class TestFit:
         code = main(["fit", "--data", str(path), "--s-col", "S", "--y-col", "Y",
                      "--q", "0.5", "--out", str(tmp_path / "r.json")])
         assert code == 3
+
+    def test_header_only_file_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        path.write_text("S,Y,X1\n")
+        code = main(["fit", "--data", str(path), "--s-col", "S", "--y-col", "Y",
+                     "--q", "0.5", "--out", str(tmp_path / "r.json")])
+        assert code == 3
+        assert capsys.readouterr().err == f"data error: {path}: no data rows\n"
 
     def test_solver_error_exits_3(self, tmp_path, synthetic_fit_csv, monkeypatch, capsys):
         import ulasso.cli as cli

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ulasso.harness import (
     CsvFormatError,
@@ -18,6 +20,7 @@ from ulasso.harness import (
     run_experiment,
     write_csv,
 )
+from ulasso.harness import _parse_rows
 from ulasso.model import Dataset
 from ulasso.sampler import SimulationConfig, XiLaw, design_from_config, gen_population
 from ulasso.solver import SolverError
@@ -187,6 +190,98 @@ class TestCsvRoundTrip:
         path.write_text("S,X\n1.0,2.0\n2.0,3.0\n")
         with pytest.raises(CsvFormatError, match="log1p"):
             load_csv(path, "S", log1p_columns=("Q",))
+
+
+_CSV_HEADER = "S,Y,X1,X2"
+_PLAIN_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from([" 1.5 ", "+1", ".5", "7.", "1E-5", "-0"]),
+)
+_LABEL_CELLS = st.sampled_from(["0", "1", "0.0", "1.0", "-0", "1e0", "+1"])
+_CSV_ROWS = st.lists(
+    st.tuples(_PLAIN_CELLS, _LABEL_CELLS, _PLAIN_CELLS, _PLAIN_CELLS).map(list), max_size=5)
+# Each case is spliced once into an otherwise plain file: a cell replaces one
+# cell, a line is inserted between the data lines.
+_CSV_EDGE_CELLS = {
+    "nan": "nan", "inf": "inf", "neg_infinity": "-Infinity", "overflow": "1e400",
+    "underscore": "1_0", "hex": "0x10", "quoted": '"1.5"', "arabic_digit": "\u0661",
+    "bad_exponent": "1.5e", "empty": "", "two": "2", "half": "0.5", "hash": "#1",
+    "file_separator": "1\x1c", "unit_separator": "\x1f2", "ideographic_space": "1\u3000",
+    "nul": "1\x00",
+}
+_CSV_EDGE_LINES = {
+    "blank": "", "space": " ", "tab": "\t", "comment": "#1,0,2,3",
+    "short_row": "1,0,2", "long_row": "1,0,2,3,4",
+}
+_CSV_EDGE_CASES = (
+    [pytest.param(None, id="plain")]
+    + [pytest.param(("cell", v), id=f"cell-{k}") for k, v in _CSV_EDGE_CELLS.items()]
+    + [pytest.param(("line", v), id=f"line-{k}") for k, v in _CSV_EDGE_LINES.items()]
+)
+
+
+def _parse_rows_directly(path, y_column):
+    with path.open(newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        header = next(reader)
+        return _parse_rows(path, reader, header, y_column)
+
+
+class TestCsvFastPath:
+    @pytest.mark.parametrize("edge", _CSV_EDGE_CASES)
+    @given(data=st.data(), labeled=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_row_parser(self, tmp_path_factory, edge, data, labeled):
+        rows = data.draw(_CSV_ROWS)
+        lines = [",".join(row) for row in rows]
+        if edge is not None and (edge[0] == "line" or lines):
+            kind, text = edge
+            at = data.draw(st.integers(0, len(lines) - (kind == "cell")))
+            if kind == "cell":
+                cells = lines[at].split(",")
+                cells[data.draw(st.integers(0, 3))] = text
+                lines[at] = ",".join(cells)
+            else:
+                lines.insert(at, text)
+        eol = data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
+        text = eol.join([_CSV_HEADER] + lines) + (eol if data.draw(st.booleans()) else "")
+        path = tmp_path_factory.mktemp("fast") / "d.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        y_column = "Y" if labeled else None
+        try:
+            table = _parse_rows_directly(path, y_column)
+        except CsvFormatError as exc:
+            expected_error = str(exc)
+        else:
+            expected_error = None if table.shape[0] else f"{path}: no data rows"
+        if expected_error is not None:
+            with pytest.raises(CsvFormatError) as info:
+                load_csv(path, "S", y_column=y_column)
+            assert str(info.value) == expected_error
+            return
+        ds = load_csv(path, "S", y_column=y_column)
+        x_cols = [2, 3] if labeled else [1, 2, 3]
+        assert ds.x.flags.c_contiguous
+        assert ds.x.tobytes() == np.ascontiguousarray(table[:, x_cols]).tobytes()
+        assert ds.s.tobytes() == table[:, 0].tobytes()
+        if labeled:
+            assert ds.y.tobytes() == table[:, 1].tobytes()
+        else:
+            assert ds.y is None
+
+    def test_plain_file_skips_row_parser(self, tmp_path, monkeypatch):
+        import ulasso.harness as harness
+
+        def unused(*args):
+            raise AssertionError("row parser called on a plain file")
+
+        monkeypatch.setattr(harness, "_parse_rows", unused)
+        path = tmp_path / "d.csv"
+        path.write_text("S,Y,X1\r\n1.5,0,-2e-3\r\n2.5,1,7\r\n")
+        ds = load_csv(path, "S", y_column="Y")
+        assert ds.s.tolist() == [1.5, 2.5] and ds.y.tolist() == [0.0, 1.0]
+        assert ds.x.tolist() == [[-2e-3], [7.0]]
 
 
 @pytest.fixture(scope="module")

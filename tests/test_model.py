@@ -82,6 +82,29 @@ class TestDataset:
         with pytest.raises(ValueError, match="0 or 1"):
             Dataset(x=np.ones((2, 1)), s=np.zeros(2), y=np.array([0.0, 2.0]))
 
+    def test_writable_inputs_copied(self):
+        x, s, y = np.ones((3, 2)), np.arange(3.0), np.array([0.0, 1.0, 1.0])
+        ds = Dataset(x=x, s=s, y=y)
+        for a in (x, s, y):
+            assert a.flags.writeable
+            a[0] = 7.0
+        assert ds.x[0, 0] == 1.0 and ds.s[0] == 0.0 and ds.y[0] == 0.0
+        for a in (ds.x, ds.s, ds.y):
+            assert not a.flags.writeable
+
+    def test_read_only_c_contiguous_inputs_kept(self):
+        x, s, y = np.ones((3, 2)), np.arange(3.0), np.array([0.0, 1.0, 1.0])
+        for a in (x, s, y):
+            a.setflags(write=False)
+        ds = Dataset(x=x, s=s, y=y)
+        assert ds.x is x and ds.s is s and ds.y is y
+
+    def test_read_only_fortran_input_copied(self):
+        x = np.asfortranarray(np.ones((3, 2)))
+        x.setflags(write=False)
+        ds = Dataset(x=x, s=np.arange(3.0))
+        assert ds.x is not x and not ds.x.flags.writeable
+
 
 def _subset_kwargs():
     s = np.array([1.0, 2.0, 9.0, 10.0])

@@ -97,6 +97,11 @@ class TestGenPopulation:
         assert np.array_equal(a.s, b.s)
         assert np.array_equal(a.y, b.y)
 
+    def test_arrays_read_only(self, spec_i_p20):
+        ds = gen_population(spec_i_p20, 50, 3)
+        for a in (ds.x, ds.s, ds.y):
+            assert not a.flags.writeable and a.flags.c_contiguous
+
     def test_noiseless_surrogate_is_the_index(self):
         p = 4
         beta0 = build_beta0(p)
