@@ -76,9 +76,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     orc = sub.add_parser("oracle", help="print the theory report for a design")
     orc.add_argument("--p", type=int, required=True)
-    orc.add_argument("--rho", type=float, default=0.0)
-    orc.add_argument("--xi-law", choices=["normal", "uniform"], default="normal")
-    orc.add_argument("--n-pop", type=int, default=100_000)
+    orc.add_argument("--rho", type=float, default=_CONFIG_DEFAULTS["rho"])
+    orc.add_argument("--xi-law", choices=["normal", "uniform"], default=_CONFIG_DEFAULTS["xi_law"])
+    orc.add_argument("--n-pop", type=int, default=_CONFIG_DEFAULTS["n_pop"])
     orc.add_argument("--seed", type=int, required=True)
     orc.add_argument("--sigma", type=float, default=1.0,
                      help="surrogate noise standard deviation")
@@ -103,8 +103,8 @@ _CONFIG_DEFAULTS = {
     "q_values": [0.02],
     "supervised_sizes": [500],
     "validation_size": 100_000,
-    "grid_points": 100,
-    "grid_ratio": 1e-4,
+    "grid_points": GridParams().n_points,
+    "grid_ratio": GridParams().ratio,
 }
 
 # simulate flag (argparse dest) -> the config key it overrides

@@ -321,6 +321,8 @@ def _fast_table(handle, n_columns: int, y_index: int | None) -> np.ndarray | Non
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             table = np.loadtxt(_checked_lines(handle), delimiter=",", comments=None,
                                dtype=float, ndmin=2)
+    except UnicodeDecodeError:
+        raise
     except ValueError:
         return None
     if table.shape[1] != n_columns or not np.isfinite(table).all():
@@ -378,37 +380,42 @@ def load_csv(
     The data rows are parsed in one streamed ``np.loadtxt`` pass. When that
     pass fails or reads a value the rules reject, the file is parsed again
     row by row, which accepts what ``float()`` accepts (quoted cells, Unicode
-    digits) and reports the first bad cell by row and column.
+    digits) and reports the first bad cell by row and column. A file that is
+    not UTF-8 text raises ``CsvFormatError``, wherever the bad byte sits.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvFormatError(f"{path}: empty file") from None
-        if len(set(header)) != len(header):
-            raise CsvFormatError(f"{path}: duplicate column names in header")
-        if s_column not in header:
-            raise CsvFormatError(f"{path}: missing surrogate column {s_column!r}")
-        if y_column == s_column:
-            raise CsvFormatError(f"{path}: surrogate and label columns must differ")
-        if y_column is not None and y_column not in header:
-            raise CsvFormatError(f"{path}: missing label column {y_column!r}")
-        x_names = [c for c in header if c != s_column and c != y_column]
-        if not x_names:
-            raise CsvFormatError(f"{path}: no covariate columns")
-        unknown = set(log1p_columns) - set(x_names)
-        if unknown:
-            raise CsvFormatError(f"{path}: log1p columns not among covariates: {sorted(unknown)}")
-        col_index = {name: i for i, name in enumerate(header)}
-        y_index = col_index[y_column] if y_column is not None else None
-        table = _fast_table(handle, len(header), y_index)
-        if table is None:
-            handle.seek(0)
+    try:
+        with path.open(newline="", encoding="utf-8") as handle:
             reader = csv.reader(handle)
-            next(reader)
-            table = _parse_rows(path, reader, header, y_column)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise CsvFormatError(f"{path}: empty file") from None
+            if len(set(header)) != len(header):
+                raise CsvFormatError(f"{path}: duplicate column names in header")
+            if s_column not in header:
+                raise CsvFormatError(f"{path}: missing surrogate column {s_column!r}")
+            if y_column == s_column:
+                raise CsvFormatError(f"{path}: surrogate and label columns must differ")
+            if y_column is not None and y_column not in header:
+                raise CsvFormatError(f"{path}: missing label column {y_column!r}")
+            x_names = [c for c in header if c != s_column and c != y_column]
+            if not x_names:
+                raise CsvFormatError(f"{path}: no covariate columns")
+            unknown = set(log1p_columns) - set(x_names)
+            if unknown:
+                raise CsvFormatError(
+                    f"{path}: log1p columns not among covariates: {sorted(unknown)}")
+            col_index = {name: i for i, name in enumerate(header)}
+            y_index = col_index[y_column] if y_column is not None else None
+            table = _fast_table(handle, len(header), y_index)
+            if table is None:
+                handle.seek(0)
+                reader = csv.reader(handle)
+                next(reader)
+                table = _parse_rows(path, reader, header, y_column)
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if table.shape[0] == 0:
         raise CsvFormatError(f"{path}: no data rows")
     # take() gathers in C order: an F-ordered x moves lstsq results in the last bits
@@ -430,14 +437,10 @@ def load_csv(
     return Dataset(x=x, s=s, y=y)
 
 
-def write_csv(ds: Dataset, path, s_column: str = "S", y_column: str = "Y",
-              x_columns: list | None = None) -> None:
-    """Write a Dataset back to the CSV schema accepted by load_csv."""
-    if x_columns is None:
-        x_columns = [f"X{j + 1}" for j in range(ds.p)]
-    if len(x_columns) != ds.p:
-        raise ValueError("x_columns must name every covariate column")
-    header = [s_column] + ([y_column] if ds.y is not None else []) + list(x_columns)
+def write_csv(ds: Dataset, path) -> None:
+    """Write a Dataset back to the CSV schema accepted by load_csv: columns
+    ``S``, ``Y`` (when labeled), ``X1..Xp``."""
+    header = ["S"] + (["Y"] if ds.y is not None else []) + [f"X{j + 1}" for j in range(ds.p)]
     path = Path(path)
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)

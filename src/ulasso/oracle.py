@@ -224,7 +224,6 @@ def restricted_log_mgf(
     arg,
     q: float,
     params: TheoryParams,
-    sigma_mat: np.ndarray | None = None,
 ) -> float:
     """log E[exp(t S)] or log E[exp(t' X)] conditional on the surrogate tails."""
     z_q = -_z_bar(q)
@@ -233,8 +232,7 @@ def restricted_log_mgf(
         shift = params.sigma_s * float(arg)
     elif kind == "X":
         t = np.asarray(arg, dtype=float)
-        sigma = params.spec.sigma_mat if sigma_mat is None else np.asarray(sigma_mat, dtype=float)
-        quad = float(t @ sigma @ t)
+        quad = float(t @ params.spec.sigma_mat @ t)
         shift = params.sigma_s * float(t @ params.gamma0)
     else:
         raise ValueError(f"unknown kind {kind!r}")
@@ -248,17 +246,15 @@ def restricted_mgf(
     arg,
     q: float,
     params: TheoryParams,
-    sigma_mat: np.ndarray | None = None,
 ) -> float:
     """Exact moment generating function on the restricted tail event."""
-    return math.exp(restricted_log_mgf(kind, arg, q, params, sigma_mat))
+    return math.exp(restricted_log_mgf(kind, arg, q, params))
 
 
 def subgaussian_envelope(
     kind: str,
     q: float,
     params: TheoryParams,
-    sigma_mat: np.ndarray | None = None,
 ) -> tuple[float, float]:
     """Subgaussian envelope parameter and prefactor dominating the tail MGF.
 
@@ -271,8 +267,7 @@ def subgaussian_envelope(
         base = params.sigma_s**2
         inflation = 2.0 * params.sigma_s**2 * z_bar**2
     elif kind == "X":
-        sigma = params.spec.sigma_mat if sigma_mat is None else np.asarray(sigma_mat, dtype=float)
-        base = float(np.linalg.eigvalsh(sigma).max())
+        base = float(np.linalg.eigvalsh(params.spec.sigma_mat).max())
         inflation = 2.0 * params.sigma_s**2 * z_bar**2 * float(params.gamma0 @ params.gamma0)
     else:
         raise ValueError(f"unknown kind {kind!r}")

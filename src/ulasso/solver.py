@@ -7,13 +7,15 @@ so the smooth-part gradient is ``-2 * T(beta)`` with ``T`` the empirical score
 below, the null-solution threshold is ``2 * ||(1/n) x_t' y_t||_inf``, and the
 single-coordinate soft-threshold level is ``lam / 2``.
 
-The kernel works on the design's second moments ``gram = x_t' x_t / n`` and
-``corr = x_t' y_t / n`` (Friedman, Hastie & Tibshirani 2010, section 2.2), so
-a coordinate step costs O(p). After every sweep it solves the stationarity
-system on the current active set and sign pattern (Osborne, Presnell & Turlach
-2000) and keeps that exact solution when it passes the certificate. The
-reported KKT residual and objective are never taken from the moments: they are
-recomputed from the residual ``y_t - x_t @ beta`` at the returned coefficients.
+The kernel reads only the design's second moments ``gram = x_t' x_t / n`` and
+``corr = x_t' y_t / n`` (Friedman, Hastie & Tibshirani 2010, section 2.2);
+no array of length n enters it, and a coordinate step costs O(p). After
+every sweep it solves the stationarity system on the current active set and
+sign pattern (Osborne, Presnell & Turlach 2000) and keeps that exact solution
+when it passes the moment-form KKT gate. Each fit is certified once, at
+return: ``lasso_fit`` reports the KKT residual and objective recomputed from
+the residual ``y_t - x_t @ beta`` (``kkt_residual``, ``objective_value``) and
+flags the fit converged only when that KKT residual is within ``10 * tol``.
 
 The solver works on the columns as given; covariates are rescaled only at
 load time (``harness.load_csv(standardize=True)``).
@@ -119,14 +121,11 @@ def gradient_t(design: CenteredDesign, beta: np.ndarray) -> np.ndarray:
     return design.x_tilde.T @ r / design.n
 
 
-def _penalized_loss(r: np.ndarray, beta: np.ndarray, lam: float) -> float:
-    return float(r @ r / r.shape[0] + lam * np.abs(beta).sum())
-
-
 def objective_value(design: CenteredDesign, beta: np.ndarray, lam: float) -> float:
     """Penalized loss (1/n)||y_t - x_t beta||^2 + lam * ||beta||_1."""
     beta = np.asarray(beta, dtype=float)
-    return _penalized_loss(design.y_tilde - design.x_tilde @ beta, beta, lam)
+    r = design.y_tilde - design.x_tilde @ beta
+    return float(r @ r / r.shape[0] + lam * np.abs(beta).sum())
 
 
 def null_threshold(design: CenteredDesign) -> float:
@@ -162,8 +161,6 @@ def kkt_residual(design: CenteredDesign, beta: np.ndarray, lam: float) -> float:
 
 
 def _gram_cd(
-    x: np.ndarray,
-    y: np.ndarray,
     gram: np.ndarray,
     corr: np.ndarray,
     lam: float,
@@ -171,42 +168,42 @@ def _gram_cd(
     max_sweeps: int,
     beta_init: np.ndarray | None = None,
     objective_log: list | None = None,
-) -> tuple[np.ndarray, int, bool, float, float]:
+) -> tuple[np.ndarray, int, bool]:
     """Coordinate descent on (1/n)||y - x b||^2 + lam ||b||_1 from ``gram = x'x/n``
-    and ``corr = x'y/n``, finished exactly on the sign pattern.
+    and ``corr = x'y/n`` alone, finished exactly on the sign pattern.
 
-    Each sweep keeps ``g = corr - gram b`` up to date, so a coordinate step
-    costs O(p); zero-variance columns stay at zero. After every sweep, with
-    active set A and signs s, the solution of
+    The kernel keeps ``g = corr - gram b`` (half the negated smooth gradient):
+    up to date through each sweep, so a coordinate step costs O(p), and
+    refreshed as a fresh product after it. Zero-variance columns stay at
+    zero. After every sweep, with active set A and signs s, the solution of
     ``gram[A, A] b_A = corr_A - (lam / 2) s_A`` is returned when its signs
     equal s, its KKT residual is within ``10 * tol`` and its objective is not
     above the sweep's. Otherwise (a singular ``gram[A, A]`` included) the
     sweeps go on until the largest coordinate change is at most ``tol`` and
-    the KKT residual is within ``10 * tol``. The penalized objective is
-    checked to be non-increasing from sweep to sweep (exact coordinate
-    minimization guarantees it up to roundoff). Returns
-    ``(beta, sweeps, converged, kkt, objective)``; the last two, and every
-    objective checked, come from the residual ``y - x b``.
+    the KKT residual is within ``10 * tol``. Objectives are
+    ``-b.(corr + g) + lam ||b||_1``, the penalized loss less the constant
+    ``||y||^2 / n``; they are checked to be non-increasing from sweep to sweep
+    (exact coordinate minimization guarantees it up to roundoff). Returns
+    ``(beta, sweeps, converged)``; the caller certifies the returned fit.
     """
-    n, p = x.shape
+    p = gram.shape[0]
     diag = gram.diagonal().tolist()
     beta = np.zeros(p) if beta_init is None else np.array(beta_init, dtype=float)
     beta[gram.diagonal() <= 0.0] = 0.0
     thr = lam / 2.0
-    r = y - x @ beta
-    prev_obj = _penalized_loss(r, beta, lam)
-    if objective_log is not None:
-        objective_log.append(prev_obj)
+    g = corr - gram @ beta
 
-    def certify(b, resid):
-        return _kkt_violation(2.0 * (x.T @ resid / n), b, lam)
+    def objective(b, g_b):
+        return float(-(b @ (corr + g_b)) + lam * np.abs(b).sum())
 
     def not_above(obj, ref):
         return obj <= ref + 1e-10 * (1.0 + abs(ref))
 
+    prev_obj = objective(beta, g)
+    if objective_log is not None:
+        objective_log.append(prev_obj)
     sweeps = 0
     for sweeps in range(1, max_sweeps + 1):
-        g = corr - gram @ beta
         max_delta = 0.0
         for j in range(p):
             gjj = diag[j]
@@ -226,8 +223,8 @@ def _gram_cd(
                 beta[j] = bj_new
                 if abs(delta) > max_delta:
                     max_delta = abs(delta)
-        r = y - x @ beta
-        obj = _penalized_loss(r, beta, lam)
+        g = corr - gram @ beta
+        obj = objective(beta, g)
         if objective_log is not None:
             objective_log.append(obj)
         if not not_above(obj, prev_obj):
@@ -243,19 +240,17 @@ def _gram_cd(
         if beta_a is not None and np.array_equal(np.sign(beta_a), signs):
             exact = np.zeros(p)
             exact[active] = beta_a
-            r_exact = y - x @ exact
-            obj_exact = _penalized_loss(r_exact, exact, lam)
-            kkt = certify(exact, r_exact)
-            if kkt <= 10.0 * tol and not_above(obj_exact, obj):
+            g_exact = corr - gram[:, active] @ beta_a
+            obj_exact = objective(exact, g_exact)
+            if (_kkt_violation(2.0 * g_exact, exact, lam) <= 10.0 * tol
+                    and not_above(obj_exact, obj)):
                 if objective_log is not None:
                     objective_log.append(obj_exact)
-                return exact, sweeps, True, kkt, obj_exact
+                return exact, sweeps, True
 
-        if max_delta <= tol:
-            kkt = certify(beta, r)
-            if kkt <= 10.0 * tol:
-                return beta, sweeps, True, kkt, obj
-    return beta, sweeps, False, certify(beta, r), prev_obj
+        if max_delta <= tol and _kkt_violation(2.0 * g, beta, lam) <= 10.0 * tol:
+            return beta, sweeps, True
+    return beta, sweeps, False
 
 
 def lasso_fit(
@@ -267,25 +262,26 @@ def lasso_fit(
 ) -> FitResult:
     """Solve the centered L1-penalized least squares problem.
 
-    The reported KKT residual and objective are those ``kkt_residual`` and
-    ``objective_value`` give at the returned coefficients.
+    The kernel reads only ``design.gram`` and ``design.corr``. The fit is
+    certified once, here: the reported KKT residual and objective are what
+    ``kkt_residual`` and ``objective_value`` give at the returned
+    coefficients, and the fit is flagged converged only when the kernel
+    converged and that residual-based KKT is within ``10 * tol``.
     """
     if lam < 0.0:
         raise ValueError("lam must be nonnegative")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    beta, sweeps, converged, resid, obj = _gram_cd(
-        design.x_tilde, design.y_tilde, design.gram, design.corr,
-        lam, tol, max_sweeps, beta_init,
-    )
+    beta, sweeps, converged = _gram_cd(design.gram, design.corr, lam, tol, max_sweeps, beta_init)
+    kkt = kkt_residual(design, beta, lam)
     return FitResult(
         beta_hat=beta,
         lam=float(lam),
         support=frozenset(int(j) for j in np.nonzero(beta)[0]),
-        kkt_residual=resid,
-        objective=obj,
+        kkt_residual=kkt,
+        objective=objective_value(design, beta, lam),
         n_iterations=sweeps,
-        converged=converged,
+        converged=converged and kkt <= 10.0 * tol,
     )
 
 
@@ -370,8 +366,8 @@ def logistic_lasso_fit(
         root = np.sqrt(w / 2.0)
         xt = (x - xw_mean) * root[:, None]
         zt = (z - zw_mean) * root
-        beta_new, sweeps, inner_ok, _, _ = _gram_cd(
-            xt, zt, xt.T @ xt / n, xt.T @ zt / n, lam, tol=max(tol / 10.0, 1e-12),
+        beta_new, sweeps, inner_ok = _gram_cd(
+            xt.T @ xt / n, xt.T @ zt / n, lam, tol=max(tol / 10.0, 1e-12),
             max_sweeps=1000, beta_init=beta,
         )
         total_sweeps += sweeps

@@ -180,6 +180,22 @@ class TestFit:
         assert code == 3
         assert capsys.readouterr().err == f"data error: {path}: no data rows\n"
 
+    @pytest.mark.parametrize("where", ["header", "data cell"])
+    def test_non_utf8_file_is_data_error(self, tmp_path, capsys, where):
+        # The data-cell byte sits past the first read-ahead chunk, so the
+        # header parses and the streamed table pass meets it.
+        rows = b"".join(b"%d.0,%d,0.%d\n" % (i, i % 2, i) for i in range(2000))
+        if where == "header":
+            raw = b"S,Y,X\xe9\n" + rows
+        else:
+            raw = b"S,Y,X1\n" + rows + b"1.0,0,caf\xe9\n"
+        path = tmp_path / "d.csv"
+        path.write_bytes(raw)
+        code = main(["fit", "--data", str(path), "--s-col", "S", "--y-col", "Y",
+                     "--q", "0.5", "--out", str(tmp_path / "r.json")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith(f"data error: {path}: not UTF-8 text")
+
     def test_solver_error_exits_3(self, tmp_path, synthetic_fit_csv, monkeypatch, capsys):
         import ulasso.cli as cli
         from ulasso.solver import SolverError

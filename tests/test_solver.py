@@ -10,8 +10,10 @@ from ulasso.model import DesignSpec
 from ulasso.sampler import SimulationConfig, XiLaw, design_from_config, gen_population
 from ulasso.solver import (
     DEFAULT_MAX_SWEEPS,
+    DEFAULT_TOL,
     CenteredDesign,
     _gram_cd,
+    _kkt_violation,
     center,
     center_xy,
     gradient_t,
@@ -160,10 +162,7 @@ class TestLassoFit:
     def test_objective_monotone_across_sweeps(self, rng):
         d = _random_design(rng, 80, 10)
         log = []
-        _gram_cd(
-            d.x_tilde, d.y_tilde, d.gram, d.corr, 0.05, 1e-9, 500,
-            objective_log=log,
-        )
+        _gram_cd(d.gram, d.corr, 0.05, 1e-9, 500, objective_log=log)
         diffs = np.diff(np.asarray(log))
         assert np.all(diffs <= 1e-12 * (1.0 + np.abs(np.asarray(log[:-1]))))
 
@@ -191,6 +190,18 @@ class TestLassoFit:
         fit = lasso_fit(d, lam, max_sweeps=max_sweeps)
         assert fit.kkt_residual == kkt_residual(d, fit.beta_hat, lam)
         assert fit.objective == objective_value(d, fit.beta_hat, lam)
+        assert not fit.converged or fit.kkt_residual <= 10 * DEFAULT_TOL
+
+    def test_kernel_claim_needs_residual_certificate(self, rng, monkeypatch):
+        # A kernel that calls a non-stationary point converged is overruled
+        # by the residual-based certificate taken at return.
+        import ulasso.solver as solver
+
+        d = _random_design(rng, 40, 4)
+        monkeypatch.setattr(solver, "_gram_cd", lambda *args: (np.ones(4), 1, True))
+        fit = lasso_fit(d, 0.01)
+        assert fit.kkt_residual > 10 * DEFAULT_TOL
+        assert not fit.converged
 
 
 class TestLassoPath:
@@ -263,6 +274,22 @@ class TestLassoPath:
             # the coefficients, and their rounding, grow large.
             scale = max(1.0, np.abs(fit.beta_hat).max())
             assert np.abs(moved.beta_hat - fit.beta_hat).max() <= 1e-8 * scale
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**31),
+        st.integers(min_value=2, max_value=60),
+        st.integers(min_value=1, max_value=12),
+    )
+    def test_moment_kkt_matches_residual_kkt(self, seed, n, p):
+        # The kernel gates on 2 (corr - gram b); the reported certificate is
+        # recomputed from the residual. They agree up to roundoff.
+        d = _random_design(np.random.default_rng(seed), n, p)
+        for fit in lasso_path(d, null_threshold(d) * np.logspace(0, -4, 30)):
+            b = fit.beta_hat
+            moment = _kkt_violation(2.0 * (d.corr - d.gram @ b), b, fit.lam)
+            scale = 1.0 + np.abs(d.corr).max() + np.abs(d.gram).max() * np.abs(b).sum()
+            assert abs(moment - fit.kkt_residual) <= 1e-12 * scale
 
     @settings(max_examples=30, deadline=None)
     @given(
