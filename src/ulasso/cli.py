@@ -113,6 +113,8 @@ _FLAG_KEYS = {"p": "p", "rho": "rho", "xi_law": "xi_law", "n_pop": "n_pop", "q":
 
 
 def _experiment_config(args) -> ExperimentConfig:
+    if args.workers < 1:
+        raise ValueError("--workers must be at least 1")
     values = dict(_CONFIG_DEFAULTS)
     if args.config is not None:
         with open(args.config) as handle:
@@ -142,8 +144,10 @@ def _experiment_config(args) -> ExperimentConfig:
 
 
 def _cmd_simulate(args) -> int:
+    out = args.out
     try:
         cfg = _experiment_config(args)
+        out.mkdir(parents=True, exist_ok=True)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -152,8 +156,6 @@ def _cmd_simulate(args) -> int:
     except ExperimentAbortedError as exc:
         print(f"experiment aborted: {exc}", file=sys.stderr)
         return EXIT_ABORTED
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     emit_tables(result.rows, args.format, out)
     write_records_csv(out / "replications.csv", REPLICATION_COLUMNS, result.replications)
     summary = {
@@ -192,17 +194,17 @@ def _cmd_fit(args) -> int:
         return EXIT_DATA
     try:
         report = fit_real(ds, args.q)
+        with args.out.open("w") as handle:
+            write_json(report, handle)
     except DegenerateTailsError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    with args.out.open("w") as handle:
-        write_json(report, handle)
     return EXIT_OK
 
 
@@ -217,13 +219,13 @@ def _cmd_oracle(args) -> int:
         )
         spec = design_from_config(sim, surrogate_noise_sd=args.sigma)
         reports = {repr(q): theory_report(spec, q) for q in args.q}
-    except ValueError as exc:
+        if args.out is not None:
+            with args.out.open("w") as handle:
+                write_json(reports, handle)
+    except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     write_json(reports, sys.stdout)
-    if args.out is not None:
-        with args.out.open("w") as handle:
-            write_json(reports, handle)
     return EXIT_OK
 
 

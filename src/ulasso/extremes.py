@@ -47,7 +47,7 @@ def _first_k(s: np.ndarray, idx: np.ndarray, delta: float, k: int) -> np.ndarray
 
 
 def extract_extreme_subset(ds: Dataset, q: float) -> ExtremeSubset:
-    """Select the k most extreme rows per tail and label them by tail membership.
+    """Select the k most extreme rows per tail; the subset labels them by tail membership.
 
     The subset lists the lower tail first, then the upper tail, each in
     ascending row order. The rows are read off the thresholds with masks, no
@@ -58,14 +58,12 @@ def extract_extreme_subset(ds: Dataset, q: float) -> ExtremeSubset:
     lo_idx = _first_k(ds.s, np.flatnonzero(ds.s <= delta_lo), delta_lo, k)
     hi_idx = _first_k(ds.s, np.flatnonzero(ds.s >= delta_hi), delta_hi, k)
     idx = np.concatenate([lo_idx, hi_idx])
-    y_star = np.concatenate([np.zeros(k), np.ones(k)])
     return ExtremeSubset(
         q=q,
         delta_lo=delta_lo,
         delta_hi=delta_hi,
         x_sub=ds.x[idx],
         s_sub=ds.s[idx],
-        y_star=y_star,
         source_indices=idx,
         y_true=None if ds.y is None else ds.y[idx],
     )

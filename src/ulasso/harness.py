@@ -30,7 +30,7 @@ from .metrics import (
     tpr_fpr,
 )
 from .model import Dataset, DegenerateTailsError, Direction
-from .sampler import SimulationConfig, design_from_config, gen_population, rng_stream
+from .sampler import SimulationConfig, build_beta0, design_from_config, gen_population, rng_stream
 from .solver import SolverError, logistic_lasso_fit
 from .tuning import GridParams, fit_ulasso, select_bic
 
@@ -95,6 +95,9 @@ class ExperimentConfig:
             raise ValueError("n_replications must be positive")
         if self.validation_size < 2:
             raise ValueError("validation_size must be at least 2")
+        if np.all(build_beta0(self.sim.p) != 0.0):
+            raise ValueError(f"p={self.sim.p} puts every coordinate in the true support; "
+                             "the selection rates need at least one null coordinate")
 
 
 @dataclass(frozen=True)
@@ -406,6 +409,9 @@ def load_csv(
             if unknown:
                 raise CsvFormatError(
                     f"{path}: log1p columns not among covariates: {sorted(unknown)}")
+            repeated = {c for c in log1p_columns if log1p_columns.count(c) > 1}
+            if repeated:
+                raise CsvFormatError(f"{path}: duplicate log1p columns: {sorted(repeated)}")
             col_index = {name: i for i, name in enumerate(header)}
             y_index = col_index[y_column] if y_column is not None else None
             table = _fast_table(handle, len(header), y_index)

@@ -7,7 +7,7 @@ instances are immutable and safe to share across threads or processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,6 +39,12 @@ def _owned_array(a) -> np.ndarray:
     if a.flags.writeable or not a.flags.c_contiguous:
         return _frozen_array(a)
     return a
+
+
+def _set_fields(obj, **values) -> None:
+    """Assign fields of a frozen dataclass instance, from its ``__post_init__``."""
+    for name, value in values.items():
+        object.__setattr__(obj, name, value)
 
 
 def _require_finite(name: str, a: np.ndarray) -> None:
@@ -83,10 +89,8 @@ class DesignSpec:
             raise ValueError("alpha0 must not be the zero vector")
         if not (np.isfinite(self.surrogate_noise_sd) and self.surrogate_noise_sd >= 0.0):
             raise ValueError("surrogate_noise_sd must be a nonnegative real")
-        object.__setattr__(self, "sigma_mat", _frozen_array(sigma))
-        object.__setattr__(self, "beta0", _frozen_array(beta0))
-        object.__setattr__(self, "alpha0", _frozen_array(alpha0))
-        object.__setattr__(self, "surrogate_noise_sd", float(self.surrogate_noise_sd))
+        _set_fields(self, sigma_mat=_frozen_array(sigma), beta0=_frozen_array(beta0),
+                    alpha0=_frozen_array(alpha0), surrogate_noise_sd=float(self.surrogate_noise_sd))
 
 
 @dataclass(frozen=True)
@@ -111,8 +115,7 @@ class Dataset:
             raise ValueError("s must be a length-N vector")
         _require_finite("x", x)
         _require_finite("s", s)
-        object.__setattr__(self, "x", _owned_array(x))
-        object.__setattr__(self, "s", _owned_array(s))
+        _set_fields(self, x=_owned_array(x), s=_owned_array(s))
         if self.y is not None:
             y = np.asarray(self.y, dtype=float)
             if y.shape != (x.shape[0],):
@@ -120,7 +123,7 @@ class Dataset:
             _require_finite("y", y)
             if not np.all((y == 0.0) | (y == 1.0)):
                 raise ValueError("y entries must all be 0 or 1")
-            object.__setattr__(self, "y", _owned_array(y))
+            _set_fields(self, y=_owned_array(y))
 
     @property
     def n_rows(self) -> int:
@@ -135,9 +138,10 @@ class Dataset:
 class ExtremeSubset:
     """The tail observations of the surrogate, with the synthetic outcome.
 
-    Rows whose surrogate falls at or below ``delta_lo`` carry ``y_star = 0``;
-    rows at or above ``delta_hi`` carry ``y_star = 1``. Tail counts are equal,
-    so ``mean(y_star) == 1/2`` exactly.
+    ``y_star`` is derived from the tails: rows whose surrogate falls at or
+    below ``delta_lo`` carry ``y_star = 0``, rows at or above ``delta_hi``
+    carry ``y_star = 1``. Tail counts are equal, so ``mean(y_star) == 1/2``
+    exactly.
     """
 
     q: float
@@ -145,9 +149,9 @@ class ExtremeSubset:
     delta_hi: float
     x_sub: np.ndarray
     s_sub: np.ndarray
-    y_star: np.ndarray
     source_indices: np.ndarray
     y_true: np.ndarray | None = None
+    y_star: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not (0.0 < self.q <= 1.0):
@@ -156,39 +160,32 @@ class ExtremeSubset:
             raise DegenerateTailsError("tail thresholds must satisfy delta_lo < delta_hi")
         x = np.asarray(self.x_sub, dtype=float)
         s = np.asarray(self.s_sub, dtype=float)
-        ystar = np.asarray(self.y_star, dtype=float)
         idx = np.asarray(self.source_indices, dtype=np.int64)
         n = s.shape[0]
         if n < 2 or n % 2 != 0:
             raise ValueError("n_q must be a positive even integer")
-        if x.shape[0] != n or x.ndim != 2 or ystar.shape != (n,) or idx.shape != (n,):
-            raise ValueError("x_sub, s_sub, y_star and source_indices must agree in length")
+        if x.shape[0] != n or x.ndim != 2 or idx.shape != (n,):
+            raise ValueError("x_sub, s_sub and source_indices must agree in length")
         _require_finite("x_sub", x)
         _require_finite("s_sub", s)
         lo = s <= self.delta_lo
         hi = s >= self.delta_hi
         if not np.all(lo ^ hi):
             raise ValueError("every s_sub entry must lie in exactly one tail")
-        if not np.array_equal(ystar, hi.astype(float)):
-            raise ValueError("y_star must equal 1(s_sub >= delta_hi)")
-        if ystar.sum() * 2 != n:
+        if np.count_nonzero(hi) * 2 != n:
             raise ValueError("tail counts must be equal (mean(y_star) = 1/2 exactly)")
         if len(np.unique(idx)) != n:
             raise ValueError("source_indices must be distinct")
-        object.__setattr__(self, "q", float(self.q))
-        object.__setattr__(self, "delta_lo", float(self.delta_lo))
-        object.__setattr__(self, "delta_hi", float(self.delta_hi))
-        object.__setattr__(self, "x_sub", _frozen_array(x))
-        object.__setattr__(self, "s_sub", _frozen_array(s))
-        object.__setattr__(self, "y_star", _frozen_array(ystar))
-        object.__setattr__(self, "source_indices", _frozen_array(idx, dtype=np.int64))
+        _set_fields(self, q=float(self.q), delta_lo=float(self.delta_lo),
+                    delta_hi=float(self.delta_hi), x_sub=_frozen_array(x), s_sub=_frozen_array(s),
+                    y_star=_frozen_array(hi), source_indices=_frozen_array(idx, dtype=np.int64))
         if self.y_true is not None:
             ytrue = np.asarray(self.y_true, dtype=float)
             if ytrue.shape != (n,):
                 raise ValueError("y_true must have length n_q")
             if not np.all((ytrue == 0.0) | (ytrue == 1.0)):
                 raise ValueError("y_true entries must all be 0 or 1")
-            object.__setattr__(self, "y_true", _frozen_array(ytrue))
+            _set_fields(self, y_true=_frozen_array(ytrue))
 
     @property
     def n_q(self) -> int:
@@ -201,27 +198,26 @@ class ExtremeSubset:
 
 @dataclass(frozen=True)
 class FitResult:
-    """A penalized solution with its support and optimality certificate."""
+    """A penalized solution with its optimality certificate; ``support``, the
+    nonzero coordinates of ``beta_hat``, is derived at construction."""
 
     beta_hat: np.ndarray
     lam: float
-    support: frozenset
     kkt_residual: float
     objective: float
     n_iterations: int
     converged: bool
+    support: frozenset = field(init=False)
 
     def __post_init__(self):
         beta = np.asarray(self.beta_hat, dtype=float)
         _require_finite("beta_hat", beta)
         if self.lam < 0.0:
             raise ValueError("lam must be nonnegative")
-        if frozenset(int(j) for j in np.nonzero(beta)[0]) != self.support:
-            raise ValueError("support must be exactly the nonzero coordinates of beta_hat")
         if not (np.isfinite(self.kkt_residual) and self.kkt_residual >= 0.0):
             raise ValueError("kkt_residual must be a nonnegative real")
-        object.__setattr__(self, "beta_hat", _frozen_array(beta))
-        object.__setattr__(self, "support", frozenset(int(j) for j in self.support))
+        _set_fields(self, beta_hat=_frozen_array(beta),
+                    support=frozenset(int(j) for j in np.nonzero(beta)[0]))
 
 
 @dataclass(frozen=True)
@@ -240,4 +236,4 @@ class Direction:
         else:
             if abs(np.linalg.norm(v) - 1.0) > _UNIT_TOL:
                 raise ValueError("v must be a unit vector within 1e-12")
-        object.__setattr__(self, "v", _frozen_array(v))
+        _set_fields(self, v=_frozen_array(v))

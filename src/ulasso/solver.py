@@ -277,7 +277,6 @@ def lasso_fit(
     return FitResult(
         beta_hat=beta,
         lam=float(lam),
-        support=frozenset(int(j) for j in np.nonzero(beta)[0]),
         kkt_residual=kkt,
         objective=objective_value(design, beta, lam),
         n_iterations=sweeps,
@@ -387,7 +386,6 @@ def logistic_lasso_fit(
     fit = FitResult(
         beta_hat=beta,
         lam=float(lam),
-        support=frozenset(int(j) for j in np.nonzero(beta)[0]),
         kkt_residual=worst,
         objective=_avg_nll(eta, y) + lam * float(np.abs(beta).sum()),
         n_iterations=total_sweeps,

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .extremes import extract_extreme_subset
-from .model import Dataset, ExtremeSubset, FitResult
+from .model import Dataset, ExtremeSubset, FitResult, _set_fields
 from .solver import (
     CenteredDesign,
     SolverError,
@@ -39,13 +39,12 @@ class GridParams:
         return lam_max * np.logspace(0.0, math.log10(self.ratio), num=self.n_points)
 
 
-def select_bic(scores: np.ndarray, fits: list | None) -> int:
-    """Index of the first minimum score among the converged fits, or among all
-    scores when ``fits`` is None; on a descending grid ties go to the largest
-    penalty. Raises ``SolverError`` when no fit converged."""
+def select_bic(scores: np.ndarray, fits: list) -> int:
+    """Index of the first minimum score among the converged fits; on a
+    descending grid ties go to the largest penalty. Raises ``SolverError``
+    when no fit converged."""
     scores = np.asarray(scores, dtype=float)
-    converged = [True] * scores.size if fits is None else [f.converged for f in fits]
-    eligible = np.flatnonzero(converged)
+    eligible = np.flatnonzero([f.converged for f in fits])
     if eligible.size == 0:
         raise SolverError("no converged fit on the penalty grid")
     return int(eligible[np.argmin(scores[eligible])])
@@ -53,28 +52,23 @@ def select_bic(scores: np.ndarray, fits: list | None) -> int:
 
 @dataclass(frozen=True)
 class TuningTrace:
-    """Grid, per-penalty scores, and the index ``select_bic`` picks (among the
-    converged ``fits`` when given; ties go to the sparser fit)."""
+    """Grid, per-penalty scores and fits; ``selected_index`` is what
+    ``select_bic`` picks among the converged fits (ties go to the sparser
+    fit), derived at construction."""
 
     lambdas: np.ndarray
     bic_values: np.ndarray
-    selected_index: int
-    fits: list = field(repr=False, default_factory=list)
+    fits: list = field(repr=False)
+    selected_index: int = field(init=False)
 
     def __post_init__(self):
         lams = np.asarray(self.lambdas, dtype=float)
         vals = np.asarray(self.bic_values, dtype=float)
-        if lams.shape != vals.shape or lams.ndim != 1:
-            raise ValueError("lambdas and bic_values must be vectors of equal length")
+        if lams.shape != vals.shape or lams.ndim != 1 or len(self.fits) != lams.size:
+            raise ValueError("lambdas, bic_values and fits must have equal length")
         if np.any(np.diff(lams) >= 0.0):
             raise ValueError("lambdas must be strictly descending")
-        if not (0 <= self.selected_index < lams.size):
-            raise ValueError("selected_index out of range")
-        best = select_bic(vals, self.fits or None)
-        if vals[self.selected_index] != vals[best]:
-            raise ValueError("selected_index must attain the minimum eligible score")
-        if self.selected_index != best:
-            raise ValueError("ties must resolve to the largest penalty")
+        _set_fields(self, selected_index=select_bic(vals, self.fits))
 
 
 def lambda_grid(design: CenteredDesign, grid: GridParams = GridParams()) -> np.ndarray:
@@ -109,11 +103,5 @@ def fit_ulasso(
     lams = lambda_grid(design, grid_params)
     fits = lasso_path(design, lams)
     scores = np.array([bic_score(design, fit, subset.n_q) for fit in fits])
-    selected = select_bic(scores, fits)
-    trace = TuningTrace(
-        lambdas=lams,
-        bic_values=scores,
-        selected_index=selected,
-        fits=fits,
-    )
-    return fits[selected], trace, subset
+    trace = TuningTrace(lambdas=lams, bic_values=scores, fits=fits)
+    return fits[trace.selected_index], trace, subset

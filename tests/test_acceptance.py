@@ -25,13 +25,14 @@ from ulasso.extremes import estimate_pi_q, extract_extreme_subset
 from ulasso.harness import ExperimentConfig, run_experiment
 from ulasso.model import DesignSpec
 from ulasso.oracle import (
+    TheoryParams,
     alpha_bar_population,
     pi_q_bound,
     restricted_log_mgf,
     restricted_mgf,
+    sigma_q_inverse,
     std_normal,
     subgaussian_envelope,
-    theory_params,
     trunc_tail_moments,
     xi_quantities,
     zq_bounds,
@@ -153,8 +154,8 @@ def test_criterion_4_theory_oracle_suite(spec_i_p20):
     for spec_name, spec in specs.items():
         t_vecs = [spec.alpha0 / (4.0 * np.linalg.norm(spec.alpha0)),
                   np.eye(spec.p)[0] * 0.2]
+        params = TheoryParams(spec)
         for q in (0.02, 0.1, 0.5):
-            params = theory_params(spec, q)
             s_draws = restricted_surrogate_draws(rng, q, params.sigma_s, MC_DRAWS)
             upper = s_draws[s_draws > 0.0]
             mean_hi, mean_lo, var_s, x_scale = trunc_tail_moments(q, params.sigma_s)
@@ -166,7 +167,7 @@ def test_criterion_4_theory_oracle_suite(spec_i_p20):
             est, se = mc_mean(np.exp(t_scalar * s_draws))
             within(restricted_mgf("S", t_scalar, q, params), est, se,
                    f"(iii) MGF_S {spec_name} q={q}")
-            xi = xi_quantities(spec.sigma_mat, spec.alpha0, spec.surrogate_noise_sd, q)
+            xi = xi_quantities(params, q)
             for k, t_vec in enumerate(t_vecs):
                 proj = projection_draws(rng, s_draws, t_vec, params)
                 est, se = mc_mean(proj[s_draws > 0.0])
@@ -184,8 +185,8 @@ def test_criterion_4_theory_oracle_suite(spec_i_p20):
             del s_draws, upper
 
     # (iv) envelopes dominate the exact MGF on the stated grid
+    params = TheoryParams(spec_i_p20)
     for q in (0.02, 0.1, 0.5, 0.9):
-        params = theory_params(spec_i_p20, q)
         env_s, pre_s = subgaussian_envelope("S", q, params)
         for t in np.linspace(-3.0, 3.0, 31):
             assert restricted_log_mgf("S", float(t), q, params) <= \
@@ -205,15 +206,15 @@ def test_criterion_4_theory_oracle_suite(spec_i_p20):
     # benchmark check allows the 4-SE sampling band.
     pi_details = []
     for spec_name, spec in specs.items():
+        params = TheoryParams(spec)
         for q in (0.02, 0.04):
-            params = theory_params(spec, q)
             bound1, _, _ = pi_q_bound(q, params)
             pi_true = quadrature_pi_q(spec, q, params)
             assert pi_true <= bound1, f"{spec_name} q={q}: quadrature pi exceeds bound1"
     big = gen_population(_mc_spec_small(), 1_000_000, ACCEPT_SEED + 5)
     for q in (0.02, 0.04):
         pi_hat = estimate_pi_q(extract_extreme_subset(big, q))
-        bound1, _, _ = pi_q_bound(q, theory_params(_mc_spec_small(), q))
+        bound1, _, _ = pi_q_bound(q, TheoryParams(_mc_spec_small()))
         assert pi_hat <= bound1
         pi_details.append(f"q={q}: pi_hat={pi_hat:.4f} <= bound={bound1:.4f}")
     del big
@@ -222,13 +223,13 @@ def test_criterion_4_theory_oracle_suite(spec_i_p20):
         pi_hat = estimate_pi_q(extract_extreme_subset(bench, q))
         n_tail = round(1_000_000 * q)
         se = math.sqrt(pi_hat * (1.0 - pi_hat) / n_tail)
-        bound1, _, _ = pi_q_bound(q, theory_params(spec_i_p20, q))
+        bound1, _, _ = pi_q_bound(q, TheoryParams(spec_i_p20))
         assert pi_hat <= bound1 + 4.0 * se
     del bench
 
     # (vi) threshold sandwich across the stated q range
     for spec in specs.values():
-        sigma_s = theory_params(spec, 0.5).sigma_s
+        sigma_s = TheoryParams(spec).sigma_s
         for q in np.geomspace(0.0002, 0.99, 60):
             upper_b, lower_b = zq_bounds(float(q), sigma_s)
             z_bar = -std_normal("quantile", q / 2.0)
@@ -307,9 +308,7 @@ def test_criterion_6_population_identity(spec_i_p20_500k, pop_500k, rng):
             float(fit.beta_hat @ spec.alpha0)
             / (np.linalg.norm(fit.beta_hat) * np.linalg.norm(spec.alpha0))
         )
-        target = alpha_bar_population(
-            spec.sigma_mat, spec.alpha0, spec.surrogate_noise_sd, q
-        )
+        target = alpha_bar_population(TheoryParams(spec), q)
         rel = float(np.abs(fit.beta_hat - target).max() / np.abs(target).max())
         assert cos >= 0.99
         assert rel <= 0.05
@@ -321,9 +320,9 @@ def test_criterion_6_population_identity(spec_i_p20_500k, pop_500k, rng):
         a = rng.standard_normal((p, p))
         sigma = a @ a.T + 0.5 * np.eye(p)
         alpha0 = rng.standard_normal(p)
-        from ulasso.oracle import sigma_q_inverse
-
-        inv, xi = sigma_q_inverse(sigma, alpha0, 0.7, 0.05)
+        spec = DesignSpec(p=p, sigma_mat=sigma, beta0=np.zeros(p), alpha0=alpha0,
+                          surrogate_noise_sd=0.7)
+        inv, xi = sigma_q_inverse(TheoryParams(spec), 0.05)
         sigma_s2 = float(alpha0 @ sigma @ alpha0) + 0.49
         gamma0 = sigma @ alpha0 / sigma_s2
         var_q = sigma + sigma_s2 * xi.xi_q * np.outer(gamma0, gamma0)

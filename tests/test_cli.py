@@ -148,6 +148,39 @@ class TestSimulate:
         assert code == 4
 
 
+    @pytest.mark.parametrize("p", ["2", "4"])
+    def test_full_true_support_is_config_error(self, tmp_path, capsys, p):
+        code = main(["simulate", "--seed", "1", "--reps", "1", "--out", str(tmp_path / "x"),
+                     "--p", p, "--n-pop", "3000", "--validation-size", "1000",
+                     "--supervised-size", "100", "--q", "0.1"])
+        assert code == 2
+        assert "config error: " in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_is_config_error(self, tmp_path, capsys, workers):
+        code = main(["simulate", "--seed", "1", "--reps", "1", "--out", str(tmp_path / "x"),
+                     "--p", "9", "--n-pop", "3000", "--validation-size", "1000",
+                     "--supervised-size", "100", "--q", "0.1", "--workers", workers])
+        assert code == 2
+        assert "config error: --workers must be at least 1" in capsys.readouterr().err
+
+    def test_out_that_is_a_file_is_config_error_before_running(
+            self, tmp_path, monkeypatch, capsys):
+        import ulasso.cli as cli
+
+        def must_not_run(cfg, workers=1):
+            raise AssertionError("replications ran before the output check")
+
+        monkeypatch.setattr(cli, "run_experiment", must_not_run)
+        out = tmp_path / "taken"
+        out.write_text("")
+        code = main(["simulate", "--seed", "1", "--reps", "1", "--out", str(out),
+                     "--p", "9", "--n-pop", "3000"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
+
 class TestFit:
     def test_report_written(self, tmp_path, synthetic_fit_csv):
         out = tmp_path / "report.json"
@@ -211,6 +244,22 @@ class TestFit:
         assert not (tmp_path / "r.json").exists()
 
 
+    def test_repeated_log1p_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        rows = "\n".join(f"{i}.0,{i % 7}.0,{i % 3}.0" for i in range(200))
+        path.write_text("S,X1,X2\n" + rows + "\n")
+        code = main(["fit", "--data", str(path), "--s-col", "S", "--log1p", "X1",
+                     "--log1p", "X1", "--q", "0.2", "--out", str(tmp_path / "r.json")])
+        assert code == 3
+        assert capsys.readouterr().err == f"data error: {path}: duplicate log1p columns: ['X1']\n"
+
+    def test_unwritable_out_is_config_error(self, tmp_path, synthetic_fit_csv, capsys):
+        code = main(["fit", "--data", str(synthetic_fit_csv), "--s-col", "S", "--q", "0.1",
+                     "--out", str(tmp_path / "missing" / "r.json")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
+
 class TestOracle:
     def test_prints_report(self, capsys):
         code = main(["oracle", "--p", "9", "--seed", "2", "--q", "0.02", "--q", "0.1"])
@@ -222,6 +271,13 @@ class TestOracle:
     def test_bad_design_is_config_error(self, capsys):
         code = main(["oracle", "--p", "1", "--seed", "2", "--q", "0.1"])
         assert code == 2
+
+    def test_unwritable_out_is_config_error(self, tmp_path, capsys):
+        code = main(["oracle", "--p", "9", "--seed", "2", "--q", "0.1",
+                     "--out", str(tmp_path / "missing" / "r.json")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ") and captured.out == ""
 
 
 @pytest.fixture(scope="module")

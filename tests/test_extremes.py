@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ulasso.extremes import estimate_pi_q, extract_extreme_subset, tail_thresholds
 from ulasso.model import Dataset, DegenerateTailsError
-from ulasso.oracle import pi_q_bound, std_normal, theory_params
+from ulasso.oracle import TheoryParams, pi_q_bound, std_normal
 
 
 def _dataset_from_s(s):
@@ -141,7 +141,7 @@ class TestEstimatePiQ:
         sub = self._subset()
         sub = type(sub)(
             q=sub.q, delta_lo=sub.delta_lo, delta_hi=sub.delta_hi, x_sub=sub.x_sub,
-            s_sub=sub.s_sub, y_star=sub.y_star, source_indices=sub.source_indices,
+            s_sub=sub.s_sub, source_indices=sub.source_indices,
             y_true=sub.y_star.copy(),
         )
         assert estimate_pi_q(sub) == 0.0
@@ -150,7 +150,7 @@ class TestEstimatePiQ:
         sub = self._subset()
         sub = type(sub)(
             q=sub.q, delta_lo=sub.delta_lo, delta_hi=sub.delta_hi, x_sub=sub.x_sub,
-            s_sub=sub.s_sub, y_star=sub.y_star, source_indices=sub.source_indices,
+            s_sub=sub.s_sub, source_indices=sub.source_indices,
             y_true=1.0 - sub.y_star,
         )
         assert estimate_pi_q(sub) == 1.0
@@ -166,5 +166,5 @@ class TestEstimatePiQ:
         sub = extract_extreme_subset(pop_100k, 0.02)
         pi_hat = estimate_pi_q(sub)
         se = np.sqrt(pi_hat * (1.0 - pi_hat) / sub.n_q)
-        bound1, _, _ = pi_q_bound(0.02, theory_params(spec_i_p20, 0.02))
+        bound1, _, _ = pi_q_bound(0.02, TheoryParams(spec_i_p20))
         assert pi_hat <= bound1 + 4.0 * se

@@ -40,6 +40,15 @@ def _tiny_config(seed=11, reps=3):
     )
 
 
+class TestExperimentConfig:
+    @pytest.mark.parametrize("p", [2, 4])
+    def test_full_true_support_rejected(self, p):
+        sim = SimulationConfig(p=p, rho=0.0, xi_law=XiLaw.NORMAL_3_1, n_pop=4000, seed=1)
+        with pytest.raises(ValueError, match="true support"):
+            ExperimentConfig(sim=sim, q_values=(0.1,), supervised_sizes=(300,),
+                             n_replications=1, validation_size=4000, seed=1)
+
+
 class TestRunExperiment:
     def test_deterministic_across_calls(self):
         cfg = _tiny_config()
@@ -184,6 +193,12 @@ class TestCsvRoundTrip:
         expected = counts / counts.std()
         assert np.allclose(ds.x[:, 0], expected)
         assert ds.x[:, 1].std() == pytest.approx(1.0)
+
+    def test_log1p_repeated_column(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("S,X\n1.0,2.0\n2.0,3.0\n")
+        with pytest.raises(CsvFormatError, match=r"duplicate log1p columns: \['X'\]"):
+            load_csv(path, "S", log1p_columns=("X", "X"))
 
     def test_log1p_unknown_column(self, tmp_path):
         path = tmp_path / "d.csv"

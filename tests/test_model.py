@@ -114,7 +114,6 @@ def _subset_kwargs():
         delta_hi=9.0,
         x_sub=np.arange(8.0).reshape(4, 2),
         s_sub=s,
-        y_star=np.array([0.0, 0.0, 1.0, 1.0]),
         source_indices=np.array([0, 1, 2, 3]),
     )
 
@@ -123,6 +122,8 @@ class TestExtremeSubset:
     def test_valid(self):
         sub = ExtremeSubset(**_subset_kwargs())
         assert sub.n_q == 4 and sub.p == 2
+        assert np.array_equal(sub.y_star, [0.0, 0.0, 1.0, 1.0])
+        assert not sub.y_star.flags.writeable
 
     def test_q_out_of_range(self):
         kwargs = _subset_kwargs()
@@ -142,22 +143,15 @@ class TestExtremeSubset:
         with pytest.raises(ValueError, match="exactly one tail"):
             ExtremeSubset(**kwargs)
 
-    def test_label_mismatch(self):
-        kwargs = _subset_kwargs()
-        kwargs["y_star"] = np.array([0.0, 1.0, 0.0, 1.0])
-        with pytest.raises(ValueError, match="y_star"):
-            ExtremeSubset(**kwargs)
-
     def test_unbalanced_labels(self):
         kwargs = _subset_kwargs()
         kwargs["s_sub"] = np.array([1.0, 9.0, 9.5, 10.0])
-        kwargs["y_star"] = np.array([0.0, 1.0, 1.0, 1.0])
         with pytest.raises(ValueError, match="equal"):
             ExtremeSubset(**kwargs)
 
     def test_odd_size_rejected(self):
         kwargs = _subset_kwargs()
-        for key in ("s_sub", "y_star", "source_indices"):
+        for key in ("s_sub", "source_indices"):
             kwargs[key] = kwargs[key][:3]
         kwargs["x_sub"] = kwargs["x_sub"][:3]
         with pytest.raises(ValueError, match="even"):
@@ -181,7 +175,6 @@ class TestFitResult:
         fit = FitResult(
             beta_hat=np.array([1.0, 0.0]),
             lam=0.1,
-            support=frozenset({0}),
             kkt_residual=1e-9,
             objective=0.3,
             n_iterations=5,
@@ -189,24 +182,11 @@ class TestFitResult:
         )
         assert fit.support == frozenset({0})
 
-    def test_support_mismatch(self):
-        with pytest.raises(ValueError, match="support"):
-            FitResult(
-                beta_hat=np.array([1.0, 0.0]),
-                lam=0.1,
-                support=frozenset({0, 1}),
-                kkt_residual=0.0,
-                objective=0.3,
-                n_iterations=5,
-                converged=True,
-            )
-
     def test_negative_kkt(self):
         with pytest.raises(ValueError, match="kkt"):
             FitResult(
                 beta_hat=np.zeros(2),
                 lam=0.1,
-                support=frozenset(),
                 kkt_residual=-1.0,
                 objective=0.3,
                 n_iterations=5,

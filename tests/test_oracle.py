@@ -10,6 +10,7 @@ from mc_oracle import mc_mean, restricted_surrogate_draws
 from ulasso.extremes import extract_extreme_subset
 from ulasso.model import DesignSpec
 from ulasso.oracle import (
+    TheoryParams,
     alpha_bar_population,
     b_q_sandwich,
     binary_subgaussian_param,
@@ -25,7 +26,6 @@ from ulasso.oracle import (
     sigma_q_inverse,
     std_normal,
     subgaussian_envelope,
-    theory_params,
     theory_report,
     trunc_tail_moments,
     xi_quantities,
@@ -41,6 +41,13 @@ def _reference_spec():
     alpha0 = np.array([1.0, 0.5, 0.0, 0.25, 0.0])
     return DesignSpec(p=5, sigma_mat=sigma, beta0=beta0, alpha0=alpha0,
                       surrogate_noise_sd=1.0)
+
+
+def _spec(sigma, alpha0, sigma_noise):
+    """Design with the given surrogate index; the outcome index plays no part."""
+    p = len(alpha0)
+    return DesignSpec(p=p, sigma_mat=sigma, beta0=np.zeros(p), alpha0=alpha0,
+                      surrogate_noise_sd=sigma_noise)
 
 
 def _collinear_spec(eta0, rho_tilde):
@@ -107,12 +114,12 @@ class TestTruncTailMoments:
 
 class TestRestrictedMgf:
     def test_unit_at_zero(self, spec_i_p20):
-        params = theory_params(spec_i_p20, 0.1)
+        params = TheoryParams(spec_i_p20)
         assert restricted_mgf("S", 0.0, 0.1, params) == 1.0
         assert restricted_mgf("X", np.zeros(spec_i_p20.p), 0.1, params) == 1.0
 
     def test_two_sided_symmetry(self, spec_i_p20):
-        params = theory_params(spec_i_p20, 0.3)
+        params = TheoryParams(spec_i_p20)
         for t in (0.05, 0.2, 0.4):
             assert restricted_mgf("S", t, 0.3, params) == pytest.approx(
                 restricted_mgf("S", -t, 0.3, params), rel=1e-12
@@ -121,7 +128,7 @@ class TestRestrictedMgf:
     def test_against_mc_at_q_half(self):
         spec = _reference_spec()
         q = 0.5
-        params = theory_params(spec, q)
+        params = TheoryParams(spec)
         rng = np.random.default_rng(99)
         draws = restricted_surrogate_draws(rng, q, params.sigma_s, 10_000_000)
         t = 0.3 / params.sigma_s
@@ -132,29 +139,28 @@ class TestRestrictedMgf:
 class TestSubgaussianEnvelope:
     def test_branch_boundary(self, spec_i_p20):
         # first branch still active at q = 1/2 with its tail-cut inflation
-        params = theory_params(spec_i_p20, 0.5)
+        params = TheoryParams(spec_i_p20)
         env, pre = subgaussian_envelope("S", 0.5, params)
         z_bar = -std_normal("quantile", 0.25)
         assert env == pytest.approx(params.sigma_s**2 * (1.0 + 2.0 * z_bar**2), rel=1e-12)
         assert pre == 1.0
         # second branch: the tail cut vanishes at q = 1 and the prefactor pays for it
-        params_one = theory_params(spec_i_p20, 1.0)
-        env_one, pre_one = subgaussian_envelope("S", 1.0, params_one)
-        assert env_one == pytest.approx(params_one.sigma_s**2)
+        env_one, pre_one = subgaussian_envelope("S", 1.0, params)
+        assert env_one == pytest.approx(params.sigma_s**2)
         assert pre_one == 4.0
 
     def test_algebraic_substitution(self):
         spec = DesignSpec(p=2, sigma_mat=np.eye(2), beta0=np.array([1.0, 0.0]),
                           alpha0=np.array([1.0, 0.0]), surrogate_noise_sd=1.0)
         q = 0.02
-        params = theory_params(spec, q)
+        params = TheoryParams(spec)
         env, pre = subgaussian_envelope("X", q, params)
-        assert env == pytest.approx(1.0 + params.z_bar_q**2, rel=1e-12)
+        assert env == pytest.approx(1.0 + std_normal("quantile", q / 2.0) ** 2, rel=1e-12)
         assert pre == 1.0
 
     @pytest.mark.parametrize("q", [0.02, 0.1, 0.5, 0.9])
     def test_envelope_dominates_exact_mgf(self, q, spec_i_p20):
-        params = theory_params(spec_i_p20, q)
+        params = TheoryParams(spec_i_p20)
         env_s, pre_s = subgaussian_envelope("S", q, params)
         for t in np.linspace(-3.0, 3.0, 25):
             log_mgf = restricted_log_mgf("S", float(t), q, params)
@@ -175,10 +181,10 @@ class TestPiQBound:
         for eta0 in (0.5, 1.0, 2.0):
             for rho_tilde in (0.2, 0.6, 0.9):
                 spec = _collinear_spec(eta0, rho_tilde)
+                params = TheoryParams(spec)
+                assert params.eta0 == pytest.approx(eta0)
+                assert params.rho_tilde == pytest.approx(rho_tilde)
                 for q in (0.01, 0.05, 0.2, 0.5):
-                    params = theory_params(spec, q)
-                    assert params.eta0 == pytest.approx(eta0)
-                    assert params.rho_tilde == pytest.approx(rho_tilde)
                     b1, b2, _ = pi_q_bound(q, params)
                     assert b1 <= b2 * (1.0 + 1e-12)
 
@@ -193,7 +199,7 @@ class TestPiQBound:
                               beta0=np.array([2.0 * z_bar, 0.0]),
                               alpha0=np.array([2.0 * z_bar, 0.0]),
                               surrogate_noise_sd=0.0)
-            _, b2, _ = pi_q_bound(float(q), theory_params(spec, float(q)))
+            _, b2, _ = pi_q_bound(float(q), TheoryParams(spec))
             bounds.append(b2)
         bounds = np.array(bounds)
         for nu in (1.0, 2.0, 3.0):
@@ -202,7 +208,7 @@ class TestPiQBound:
 
     def test_q_one_rejected(self, spec_i_p20):
         with pytest.raises(ValueError, match="q < 1"):
-            pi_q_bound(1.0, theory_params(spec_i_p20, 1.0))
+            pi_q_bound(1.0, TheoryParams(spec_i_p20))
 
 
 class TestZqBounds:
@@ -237,20 +243,21 @@ class TestSigmaQInverse:
             sigma = a @ a.T + 0.1 * np.eye(p)
             alpha0 = rng.standard_normal(p)
             q = 0.07
-            inv, xi = sigma_q_inverse(sigma, alpha0, 0.9, q)
+            inv, xi = sigma_q_inverse(TheoryParams(_spec(sigma, alpha0, 0.9)), q)
             sigma_s2 = float(alpha0 @ sigma @ alpha0) + 0.81
             gamma0 = sigma @ alpha0 / sigma_s2
             var_q = sigma + sigma_s2 * xi.xi_q * np.outer(gamma0, gamma0)
             assert np.abs(inv @ var_q - np.eye(p)).max() <= 1e-8
 
     def test_xi_bracketed_by_tail_cut(self):
+        params = TheoryParams(_spec(np.eye(2), np.array([1.0, 0.0]), 1.0))
         for q in np.geomspace(0.0002, 1.0, 30):
-            xi = xi_quantities(np.eye(2), np.array([1.0, 0.0]), 1.0, float(q))
-            z_sq = xi.z_bar_q**2
+            xi = xi_quantities(params, float(q))
+            z_sq = std_normal("quantile", q / 2.0) ** 2
             assert z_sq - 1e-12 <= xi.xi_q <= 1.0 + z_sq + 1e-12
 
     def test_rank_one_structure(self):
-        inv, _ = sigma_q_inverse(np.eye(2), np.array([1.0, 0.0]), 1.0, 0.04)
+        inv, _ = sigma_q_inverse(TheoryParams(_spec(np.eye(2), np.array([1.0, 0.0]), 1.0)), 0.04)
         delta = inv - np.eye(2)
         assert delta[0, 1] == 0.0 and delta[1, 0] == 0.0 and delta[1, 1] == 0.0
         assert delta[0, 0] < 0.0
@@ -259,16 +266,16 @@ class TestSigmaQInverse:
         a = rng.standard_normal((6, 6))
         sigma = a @ a.T + np.eye(6)
         alpha0 = rng.standard_normal(6)
-        inv, xi = sigma_q_inverse(sigma, alpha0, 0.5, 0.03)
+        inv, xi = sigma_q_inverse(TheoryParams(_spec(sigma, alpha0, 0.5)), 0.03)
         expected = np.trace(np.linalg.inv(sigma)) - xi.xi_tilde_q * (alpha0 @ alpha0)
         assert np.trace(inv) == pytest.approx(expected, rel=1e-10)
 
     def test_tail_covariance_min_eig_uniformly_positive(self):
         spec = _reference_spec()
         floor = np.linalg.eigvalsh(spec.sigma_mat).min()
+        params = TheoryParams(spec)
         for q in np.geomspace(0.001, 0.5, 20):
-            params = theory_params(spec, float(q))
-            xi = xi_quantities(spec.sigma_mat, spec.alpha0, spec.surrogate_noise_sd, float(q))
+            xi = xi_quantities(params, float(q))
             sigma_q = spec.sigma_mat + params.sigma_s**2 * xi.xi_q * np.outer(
                 params.gamma0, params.gamma0
             )
@@ -278,14 +285,14 @@ class TestSigmaQInverse:
 class TestAlphaBarPopulation:
     def test_direction_proportional(self):
         spec = _reference_spec()
-        abar = alpha_bar_population(spec.sigma_mat, spec.alpha0, spec.surrogate_noise_sd, 0.05)
+        abar = alpha_bar_population(TheoryParams(spec), 0.05)
         cos = abar @ spec.alpha0 / (np.linalg.norm(abar) * np.linalg.norm(spec.alpha0))
         assert cos == pytest.approx(1.0, abs=1e-14)
 
     def test_log_scaled_magnitude_band(self):
-        spec = _reference_spec()
+        params = TheoryParams(_reference_spec())
         for q in np.geomspace(0.001, 0.3, 15):
-            xi = xi_quantities(spec.sigma_mat, spec.alpha0, spec.surrogate_noise_sd, float(q))
+            xi = xi_quantities(params, float(q))
             scaled = xi.xi_star_q * math.sqrt(math.log(1.0 / q))
             assert 0.1 <= scaled <= 10.0
 
@@ -293,10 +300,7 @@ class TestAlphaBarPopulation:
         q = 0.04
         sub = extract_extreme_subset(pop_500k, q)
         fit = lasso_fit(center(sub), 0.0, tol=1e-9)
-        abar = alpha_bar_population(
-            spec_i_p20_500k.sigma_mat, spec_i_p20_500k.alpha0,
-            spec_i_p20_500k.surrogate_noise_sd, q,
-        )
+        abar = alpha_bar_population(TheoryParams(spec_i_p20_500k), q)
         rel = np.abs(fit.beta_hat - abar).max() / np.abs(abar).max()
         assert rel <= 0.05
 
@@ -500,6 +504,15 @@ class TestBQSandwich:
                 sums[q] += abs(b_hat)
         means = [sums[q] / reps for q in qs]
         assert np.all(np.diff(means) > 0.0)
+
+
+def test_theory_report_index_correlation_is_rho0_when_anti_collinear():
+    beta0 = np.array([1.0, 0.5, 0.0])
+    spec = DesignSpec(p=3, sigma_mat=np.eye(3), beta0=beta0, alpha0=-beta0,
+                      surrogate_noise_sd=1.0)
+    report = theory_report(spec, 0.1)
+    assert report["index_correlation"] == report["rho0"]
+    assert report["rho0"] == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_theory_report_is_json_ready(spec_i_p20):

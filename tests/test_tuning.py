@@ -65,9 +65,9 @@ class TestBicScore:
         # two fits with identical loss; the support-0 one scores lower by log(n)/n
         x = np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, 1.0], [-1.0, -1.0]])
         d = center_xy(x, np.zeros(4))
-        f0 = FitResult(beta_hat=np.zeros(2), lam=1.0, support=frozenset(),
+        f0 = FitResult(beta_hat=np.zeros(2), lam=1.0,
                        kkt_residual=0.0, objective=0.0, n_iterations=1, converged=True)
-        f1 = FitResult(beta_hat=np.array([1.0, -1.0]), lam=0.0, support=frozenset({0, 1}),
+        f1 = FitResult(beta_hat=np.array([1.0, -1.0]), lam=0.0,
                        kkt_residual=0.0, objective=0.0, n_iterations=1, converged=True)
         n_q = 4
         assert bic_score(d, f0, n_q) + 2 * math.log(n_q) / n_q == pytest.approx(
@@ -86,7 +86,7 @@ class TestBicScore:
 
 
 def _fit_result(converged):
-    return FitResult(beta_hat=np.zeros(2), lam=1.0, support=frozenset(),
+    return FitResult(beta_hat=np.zeros(2), lam=1.0,
                      kkt_residual=0.0, objective=0.0, n_iterations=1, converged=converged)
 
 
@@ -105,18 +105,18 @@ class TestSelectBic:
 
 
 class TestTuningTrace:
-    def test_selected_must_attain_minimum(self):
-        with pytest.raises(ValueError, match="minimum"):
-            TuningTrace(lambdas=np.array([1.0, 0.5]), bic_values=np.array([0.2, 0.1]),
-                        selected_index=0)
+    def test_selected_index_is_first_converged_minimum(self):
+        lams = np.array([1.0, 0.5, 0.25, 0.125])
+        fits = [_fit_result(True), _fit_result(False), _fit_result(True), _fit_result(True)]
+        # the unconverged minimum at index 1 is skipped; the tie between
+        # indexes 2 and 3 goes to the larger penalty
+        trace = TuningTrace(lambdas=lams, bic_values=np.array([0.3, 0.1, 0.2, 0.2]), fits=fits)
+        assert trace.selected_index == 2
 
-    def test_tie_resolves_to_largest_lambda(self):
-        with pytest.raises(ValueError, match="largest"):
-            TuningTrace(lambdas=np.array([1.0, 0.5]), bic_values=np.array([0.1, 0.1]),
-                        selected_index=1)
-        trace = TuningTrace(lambdas=np.array([1.0, 0.5]), bic_values=np.array([0.1, 0.1]),
-                            selected_index=0)
-        assert trace.selected_index == 0
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="equal length"):
+            TuningTrace(lambdas=np.array([1.0, 0.5]), bic_values=np.array([0.2, 0.1]),
+                        fits=[_fit_result(True)])
 
 
 class TestFitUlasso:
