@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -181,6 +182,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    out_dir = args.out.parent
+    if args.out.is_dir() or not (out_dir.is_dir() and os.access(out_dir, os.W_OK)):
+        print(f"config error: cannot write {args.out}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         ds = load_csv(
             args.data,

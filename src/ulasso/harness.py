@@ -252,8 +252,11 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
 
     Replications that fail with a solver or degenerate-tails error are
     skipped and logged; the experiment aborts once more than 10% fail. Any
-    other exception propagates. Results are invariant to the worker count.
+    other exception propagates. Results are invariant to the worker count,
+    which must be at least 1.
     """
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     jobs = [(cfg, rep) for rep in range(cfg.n_replications)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

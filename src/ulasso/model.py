@@ -199,7 +199,11 @@ class ExtremeSubset:
 @dataclass(frozen=True)
 class FitResult:
     """A penalized solution with its optimality certificate; ``support``, the
-    nonzero coordinates of ``beta_hat``, is derived at construction."""
+    nonzero coordinates of ``beta_hat``, is derived at construction.
+
+    ``n_iterations`` is the solver's work: its active-set pivot steps plus
+    its coordinate-descent sweeps, summed over the reweighting rounds of a
+    logistic fit."""
 
     beta_hat: np.ndarray
     lam: float

@@ -1,21 +1,24 @@
-"""Centered squared-loss LASSO by covariance-form coordinate descent with an
-exact active-set finish, plus a supervised logistic-LASSO baseline whose
-reweighted inner problems go to the same kernel.
+"""Centered squared-loss LASSO by active-set pivoting on the design's second
+moments, with coordinate descent as the fallback, plus a supervised
+logistic-LASSO baseline whose reweighted inner problems go to the same kernel.
 
 Loss normalization is mean squared error, ``(1/n) * sum((y_t - x_t @ beta)**2)``,
 so the smooth-part gradient is ``-2 * T(beta)`` with ``T`` the empirical score
 below, the null-solution threshold is ``2 * ||(1/n) x_t' y_t||_inf``, and the
 single-coordinate soft-threshold level is ``lam / 2``.
 
-The kernel reads only the design's second moments ``gram = x_t' x_t / n`` and
-``corr = x_t' y_t / n`` (Friedman, Hastie & Tibshirani 2010, section 2.2);
-no array of length n enters it, and a coordinate step costs O(p). After
-every sweep it solves the stationarity system on the current active set and
-sign pattern (Osborne, Presnell & Turlach 2000) and keeps that exact solution
-when it passes the moment-form KKT gate. Each fit is certified once, at
-return: ``lasso_fit`` reports the KKT residual and objective recomputed from
-the residual ``y_t - x_t @ beta`` (``kkt_residual``, ``objective_value``) and
-flags the fit converged only when that KKT residual is within ``10 * tol``.
+The kernel reads only ``gram = x_t' x_t / n`` and ``corr = x_t' y_t / n``
+(Friedman, Hastie & Tibshirani 2010, section 2.2); no array of length n
+enters it. From the warm start it pivots on an updated Cholesky factor of
+the active block of ``gram``: each step solves the stationarity system on
+the current active set and signs (Osborne, Presnell & Turlach 2000), takes
+the lasso-LARS drop step when a sign flips (Efron et al. 2004) and
+otherwise brings in the worst KKT violator. A pivot that cannot go on
+falls back to one coordinate-descent sweep, then pivots again. Each fit is
+certified once, at return: ``lasso_fit`` reports the KKT residual and
+objective recomputed from the residual ``y_t - x_t @ beta`` (the values
+``kkt_residual`` and ``objective_value`` give) and flags the fit converged
+only when that KKT residual is within ``10 * tol``.
 
 The solver works on the columns as given; covariates are rescaled only at
 load time (``harness.load_csv(standardize=True)``).
@@ -26,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .model import ExtremeSubset, FitResult, _owned_array
 
@@ -169,29 +173,51 @@ def _gram_cd(
     beta_init: np.ndarray | None = None,
     objective_log: list | None = None,
 ) -> tuple[np.ndarray, int, bool]:
-    """Coordinate descent on (1/n)||y - x b||^2 + lam ||b||_1 from ``gram = x'x/n``
-    and ``corr = x'y/n`` alone, finished exactly on the sign pattern.
+    """Minimize (1/n)||y - x b||^2 + lam ||b||_1 from ``gram = x'x/n`` and
+    ``corr = x'y/n`` alone, by active-set pivoting with coordinate descent as
+    the fallback.
 
-    The kernel keeps ``g = corr - gram b`` (half the negated smooth gradient):
-    up to date through each sweep, so a coordinate step costs O(p), and
-    refreshed as a fresh product after it. Zero-variance columns stay at
-    zero. After every sweep, with active set A and signs s, the solution of
-    ``gram[A, A] b_A = corr_A - (lam / 2) s_A`` is returned when its signs
-    equal s, its KKT residual is within ``10 * tol`` and its objective is not
-    above the sweep's. Otherwise (a singular ``gram[A, A]`` included) the
-    sweeps go on until the largest coordinate change is at most ``tol`` and
-    the KKT residual is within ``10 * tol``. Objectives are
-    ``-b.(corr + g) + lam ||b||_1``, the penalized loss less the constant
-    ``||y||^2 / n``; they are checked to be non-increasing from sweep to sweep
-    (exact coordinate minimization guarantees it up to roundoff). Returns
-    ``(beta, sweeps, converged)``; the caller certifies the returned fit.
+    A pivot phase starts from the warm start's nonzeros A, in index order,
+    with their signs s, and an upper Cholesky factor of ``gram[A, A]``;
+    ``g = corr - gram b`` is half the negated smooth gradient. Each step
+    solves ``gram[A, A] b = corr_A - (lam / 2) s`` with LAPACK ``dpotrs``.
+    If some ``b_i`` lacks the sign ``s_i``, the step goes from ``beta_A``
+    toward ``b`` only to the first zero crossing (ties go to the first in
+    factor order), drops that coordinate and refactors: the lasso-LARS drop
+    step (Efron, Hastie, Johnstone & Tibshirani 2004, section 3.1; Osborne,
+    Presnell & Turlach 2000). Otherwise it moves to ``b`` and appends the
+    inactive j with the largest ``|g_j| > lam / 2`` (the sweep's own strict
+    test), with the sign of ``g_j``, growing the factor by one ``dtrtrs``.
+    When column j lies in the span of the active columns (a non-positive
+    append pivot, as when p > n), j enters by a swap instead: the step moves
+    along the direction that keeps ``x b`` fixed and lowers the penalty,
+    until a coordinate of A reaches zero, and trades that coordinate for j.
+    When no j is left and the moment-form KKT residual of ``2 g`` is within
+    ``10 * tol``, the fit is returned converged.
+
+    A phase fails on a factor that is not positive definite, on a step whose
+    objective is above the last one, after ``2 p + 2`` steps, or on a failed
+    KKT gate. One coordinate-descent sweep then runs from its last accepted
+    point (a coordinate step costs O(p) on the running ``g``; zero-variance
+    columns stay at zero), and a new phase starts from the sweep's result.
+    The sweeps also return converged on their own, once the largest
+    coordinate change is at most ``tol`` and the KKT residual is within
+    ``10 * tol``. Pivot steps and sweeps draw on one budget of
+    ``max_sweeps``; once it is spent, the last point is returned
+    unconverged. Objectives are ``-b.(corr + g) + lam ||b||_1``, the
+    penalized loss less the constant ``||y||^2 / n``; the start, each
+    accepted step and each sweep append theirs to ``objective_log``, and a
+    sweep that raises it beyond roundoff raises ``SolverError`` (exact
+    coordinate minimization cannot). Returns ``(beta, pivot steps + sweeps,
+    converged)``; the caller certifies the returned fit.
     """
     p = gram.shape[0]
     diag = gram.diagonal().tolist()
+    free = gram.diagonal() > 0.0
     beta = np.zeros(p) if beta_init is None else np.array(beta_init, dtype=float)
-    beta[gram.diagonal() <= 0.0] = 0.0
+    beta[~free] = 0.0
     thr = lam / 2.0
-    g = corr - gram @ beta
+    max_steps = 2 * p + 2
 
     def objective(b, g_b):
         return float(-(b @ (corr + g_b)) + lam * np.abs(b).sum())
@@ -199,11 +225,89 @@ def _gram_cd(
     def not_above(obj, ref):
         return obj <= ref + 1e-10 * (1.0 + abs(ref))
 
-    prev_obj = objective(beta, g)
-    if objective_log is not None:
-        objective_log.append(prev_obj)
-    sweeps = 0
-    for sweeps in range(1, max_sweeps + 1):
+    def log(obj):
+        if objective_log is not None:
+            objective_log.append(obj)
+
+    def pivot(beta, g, obj, budget):
+        active = np.flatnonzero(beta).tolist()
+        signs = np.sign(beta[active])
+        entering = upper = None
+        step = 0
+        for step in range(1, min(max_steps, budget) + 1):
+            if upper is None:
+                try:
+                    upper = np.linalg.cholesky(gram[np.ix_(active, active)]).T
+                except np.linalg.LinAlgError:
+                    return beta, g, obj, step - 1, False
+            b_a = beta[active]
+            if entering is None:
+                rhs = corr[active] - thr * signs
+                b = lapack.dpotrs(upper, rhs, lower=0)[0] if active else rhs
+                direction, reach = b - b_a, 1.0
+            else:
+                direction, reach = -sign_in * span, np.inf
+            closing = np.flatnonzero(direction * signs < 0.0)
+            t = -b_a[closing] / direction[closing]
+            new = np.zeros(p)
+            if t.size and t.min() <= reach:
+                k = closing[np.argmin(t)]
+                new[active] = b_a + t.min() * direction
+                new[active[k]] = 0.0
+                if entering is not None:
+                    new[entering] = t.min() * sign_in
+            elif entering is None:
+                k = None
+                new[active] = b
+            else:
+                break
+            g_new = corr - gram @ new
+            obj_new = objective(new, g_new)
+            if not not_above(obj_new, obj):
+                break
+            beta, g, obj = new, g_new, obj_new
+            log(obj)
+            if k is not None:
+                del active[k]
+                signs = np.delete(signs, k)
+                if entering is not None:
+                    active.append(entering)
+                    signs = np.append(signs, sign_in)
+                    entering = None
+                upper = None
+                continue
+            viol = np.where(free & (beta == 0.0), np.abs(g), 0.0)
+            j = int(np.argmax(viol))
+            if viol[j] <= thr:
+                return beta, g, obj, step, _kkt_violation(2.0 * g, beta, lam) <= 10.0 * tol
+            col = gram[active, j]
+            w = lapack.dtrtrs(upper, col, lower=0, trans=1)[0] if active else col
+            pivot_sq = gram[j, j] - w @ w
+            if pivot_sq <= 0.0:
+                # x_j = x_A @ span, so moving along (-sign_in * span, sign_in) keeps x b fixed.
+                entering, sign_in = j, np.sign(g[j])
+                span = lapack.dtrtrs(upper, w, lower=0)[0]
+                continue
+            n_a = len(active)
+            grown = np.zeros((n_a + 1, n_a + 1), order="F")
+            grown[:n_a, :n_a] = upper
+            grown[:n_a, n_a] = w
+            grown[n_a, n_a] = np.sqrt(pivot_sq)
+            upper = grown
+            active.append(j)
+            signs = np.append(signs, np.sign(g[j]))
+        return beta, g, obj, step, False
+
+    g = corr - gram @ beta
+    obj = objective(beta, g)
+    log(obj)
+    iterations = 0
+    while True:
+        beta, g, obj, steps, finished = pivot(beta, g, obj, max_sweeps - iterations)
+        iterations += steps
+        if finished or iterations >= max_sweeps:
+            return beta, iterations, finished
+        iterations += 1
         max_delta = 0.0
         for j in range(p):
             gjj = diag[j]
@@ -224,33 +328,13 @@ def _gram_cd(
                 if abs(delta) > max_delta:
                     max_delta = abs(delta)
         g = corr - gram @ beta
-        obj = objective(beta, g)
-        if objective_log is not None:
-            objective_log.append(obj)
-        if not not_above(obj, prev_obj):
+        swept = objective(beta, g)
+        log(swept)
+        if not not_above(swept, obj):
             raise SolverError("penalized objective increased across a sweep")
-        prev_obj = obj
-
-        active = np.flatnonzero(beta)
-        signs = np.sign(beta[active])
-        try:
-            beta_a = np.linalg.solve(gram[np.ix_(active, active)], corr[active] - thr * signs)
-        except np.linalg.LinAlgError:
-            beta_a = None
-        if beta_a is not None and np.array_equal(np.sign(beta_a), signs):
-            exact = np.zeros(p)
-            exact[active] = beta_a
-            g_exact = corr - gram[:, active] @ beta_a
-            obj_exact = objective(exact, g_exact)
-            if (_kkt_violation(2.0 * g_exact, exact, lam) <= 10.0 * tol
-                    and not_above(obj_exact, obj)):
-                if objective_log is not None:
-                    objective_log.append(obj_exact)
-                return exact, sweeps, True
-
+        obj = swept
         if max_delta <= tol and _kkt_violation(2.0 * g, beta, lam) <= 10.0 * tol:
-            return beta, sweeps, True
-    return beta, sweeps, False
+            return beta, iterations, True
 
 
 def lasso_fit(
@@ -263,23 +347,26 @@ def lasso_fit(
     """Solve the centered L1-penalized least squares problem.
 
     The kernel reads only ``design.gram`` and ``design.corr``. The fit is
-    certified once, here: the reported KKT residual and objective are what
-    ``kkt_residual`` and ``objective_value`` give at the returned
-    coefficients, and the fit is flagged converged only when the kernel
-    converged and that residual-based KKT is within ``10 * tol``.
+    certified once, here, from one residual ``y_t - x_t @ beta``: the
+    reported KKT residual and objective equal what ``kkt_residual`` and
+    ``objective_value`` give at the returned coefficients, and the fit is
+    flagged converged only when the kernel converged and that residual-based
+    KKT is within ``10 * tol``.
     """
     if lam < 0.0:
         raise ValueError("lam must be nonnegative")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    beta, sweeps, converged = _gram_cd(design.gram, design.corr, lam, tol, max_sweeps, beta_init)
-    kkt = kkt_residual(design, beta, lam)
+    beta, iterations, converged = _gram_cd(
+        design.gram, design.corr, lam, tol, max_sweeps, beta_init)
+    r = design.y_tilde - design.x_tilde @ beta
+    kkt = _kkt_violation(2.0 * (design.x_tilde.T @ r / design.n), beta, lam)
     return FitResult(
         beta_hat=beta,
         lam=float(lam),
         kkt_residual=kkt,
-        objective=objective_value(design, beta, lam),
-        n_iterations=sweeps,
+        objective=float(r @ r / design.n + lam * np.abs(beta).sum()),
+        n_iterations=iterations,
         converged=converged and kkt <= 10.0 * tol,
     )
 
@@ -351,7 +438,7 @@ def logistic_lasso_fit(
     beta = np.zeros(p) if beta_init is None else np.array(beta_init, dtype=float)
     b0 = float(np.log(y_bar / (1.0 - y_bar))) if intercept_init is None else float(intercept_init)
     converged = False
-    total_sweeps = 0
+    total_iterations = 0
     for _ in range(_LOGISTIC_MAX_OUTER):
         eta = b0 + x @ beta
         prob = _expit(eta)
@@ -365,11 +452,11 @@ def logistic_lasso_fit(
         root = np.sqrt(w / 2.0)
         xt = (x - xw_mean) * root[:, None]
         zt = (z - zw_mean) * root
-        beta_new, sweeps, inner_ok = _gram_cd(
+        beta_new, iterations, inner_ok = _gram_cd(
             xt.T @ xt / n, xt.T @ zt / n, lam, tol=max(tol / 10.0, 1e-12),
             max_sweeps=1000, beta_init=beta,
         )
-        total_sweeps += sweeps
+        total_iterations += iterations
         b0_new = zw_mean - float(xw_mean @ beta_new)
         step = max(float(np.max(np.abs(beta_new - beta))), abs(b0_new - b0))
         beta, b0 = beta_new, b0_new
@@ -388,7 +475,7 @@ def logistic_lasso_fit(
         lam=float(lam),
         kkt_residual=worst,
         objective=_avg_nll(eta, y) + lam * float(np.abs(beta).sum()),
-        n_iterations=total_sweeps,
+        n_iterations=total_iterations,
         converged=converged,
     )
     return fit, b0

@@ -253,7 +253,14 @@ class TestFit:
         assert code == 3
         assert capsys.readouterr().err == f"data error: {path}: duplicate log1p columns: ['X1']\n"
 
-    def test_unwritable_out_is_config_error(self, tmp_path, synthetic_fit_csv, capsys):
+    def test_unwritable_out_is_config_error(self, tmp_path, synthetic_fit_csv, capsys,
+                                            monkeypatch):
+        import ulasso.cli as cli
+
+        def must_not_run(ds, q_values):
+            raise AssertionError("fit ran before the output check")
+
+        monkeypatch.setattr(cli, "fit_real", must_not_run)
         code = main(["fit", "--data", str(synthetic_fit_csv), "--s-col", "S", "--q", "0.1",
                      "--out", str(tmp_path / "missing" / "r.json")])
         assert code == 2

@@ -59,6 +59,11 @@ class TestRunExperiment:
         for ra, rb in zip(a.rows, b.rows):
             assert ra == rb
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            run_experiment(_tiny_config(), workers=workers)
+
     def test_worker_count_invariance(self):
         cfg = _tiny_config(seed=13)
         serial = run_experiment(cfg, workers=1)

@@ -160,11 +160,47 @@ class TestLassoFit:
             assert np.abs(gradient_t(d, fit.beta_hat)).max() <= lam / 2.0 + 10.0 * tol
 
     def test_objective_monotone_across_sweeps(self, rng):
+        def assert_non_increasing(log):
+            diffs = np.diff(np.asarray(log))
+            assert np.all(diffs <= 1e-12 * (1.0 + np.abs(np.asarray(log[:-1]))))
+
+        # Pivot steps alone: the start and one entry per accepted step.
         d = _random_design(rng, 80, 10)
         log = []
-        _gram_cd(d.gram, d.corr, 0.05, 1e-9, 500, objective_log=log)
-        diffs = np.diff(np.asarray(log))
-        assert np.all(diffs <= 1e-12 * (1.0 + np.abs(np.asarray(log[:-1]))))
+        _, iterations, converged = _gram_cd(d.gram, d.corr, 0.05, 1e-9, 500, objective_log=log)
+        assert converged and len(log) == iterations + 1 > 2
+        assert_non_increasing(log)
+
+        # Two identical +-1 columns, both warm: gram[A, A] is exactly singular,
+        # so the pivot cannot start, and the fit needs fallback sweeps.
+        u = np.array([1.0, -1.0] * 4)
+        x = np.column_stack([u, u, rng.standard_normal(8), rng.standard_normal(8)])
+        d = center_xy(x, rng.standard_normal(8))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(d.gram[:2, :2])
+        lam = 0.2 * null_threshold(d)
+        warm = np.array([0.3, 0.2, 0.0, 0.0])
+        log = []
+        _, iterations, converged = _gram_cd(d.gram, d.corr, lam, 1e-9, 500, warm, log)
+        assert converged and len(log) == iterations + 1 > 2
+        assert_non_increasing(log)
+
+    def test_sign_flip_takes_the_drop_step(self):
+        # gram = [[2.5, 0.5], [0.5, 1]], corr = [2, 1]. From the warm signs
+        # (+, -) the solve on both coordinates gives (0.133, 1.733): the
+        # second flips, so the first step stops where it crosses zero and
+        # drops it, and the second step lands on the solution (0.48, 0).
+        x = np.array([[2.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-2.0, -1.0]])
+        d = center_xy(x, np.array([2.0, 0.0, 0.0, -2.0]))
+        lam, warm = 1.6, np.array([0.5, -0.5])
+        log = []
+        beta, iterations, converged = _gram_cd(d.gram, d.corr, lam, 1e-10, 100, warm, log)
+        assert converged and iterations == 2
+        assert log[2] < log[1] < log[0]
+        assert beta[1] == 0.0 and beta[0] == pytest.approx(0.48, abs=1e-12)
+        fit = lasso_fit(d, lam, tol=1e-10, beta_init=warm)
+        assert fit.converged and fit.n_iterations == 2
+        assert np.abs(fit.beta_hat - _ista_reference(d, lam)).max() <= 1e-5
 
     def test_matches_proximal_gradient_reference(self, rng):
         for _ in range(25):
@@ -290,6 +326,28 @@ class TestLassoPath:
             moment = _kkt_violation(2.0 * (d.corr - d.gram @ b), b, fit.lam)
             scale = 1.0 + np.abs(d.corr).max() + np.abs(d.gram).max() * np.abs(b).sum()
             assert abs(moment - fit.kkt_residual) <= 1e-12 * scale
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        st.integers(min_value=0, max_value=2**31),
+        st.integers(min_value=5, max_value=11),
+        st.integers(min_value=2, max_value=7),
+        st.sampled_from([True, False, False, False]),
+    )
+    def test_near_collinear_paths_converge_by_pivoting(self, seed, n, p, near_collinear):
+        # Coordinate descent alone crawls on such designs, leaving fits
+        # unconverged after 10000 sweeps; the pivot needs at most one full
+        # phase per fit.
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, p))
+        if near_collinear:
+            a, b = rng.choice(p, 2, replace=False)
+            x[:, b] = x[:, a] + 1e-3 * rng.standard_normal(n)
+        d = center_xy(x, rng.standard_normal(n))
+        lams = null_threshold(d) * np.logspace(0, -4, 30)
+        fits = lasso_path(d, lams)
+        assert all(fit.converged for fit in fits)
+        assert sum(fit.n_iterations for fit in fits) <= lams.size * (2 * p + 2)
 
     @settings(max_examples=30, deadline=None)
     @given(
