@@ -318,9 +318,9 @@ def _fast_table(handle, n_columns: int, y_index: int | None) -> np.ndarray | Non
     """Parse the remaining lines in one ``np.loadtxt`` pass, or None to defer.
 
     The table is returned only when it holds the values the row parser would
-    return: ``n_columns`` finite columns with 0/1 labels. Anything else (a
-    quoted cell, a Unicode digit, a bad value) is left to the row parser,
-    which words the error.
+    return: ``n_columns`` finite columns with 0/1 labels of both classes.
+    Anything else (a quoted cell, a Unicode digit, a bad value) is left to
+    the row parser, which words the error.
     """
     try:
         with warnings.catch_warnings():
@@ -335,7 +335,7 @@ def _fast_table(handle, n_columns: int, y_index: int | None) -> np.ndarray | Non
         return None
     if y_index is not None:
         y = table[:, y_index]
-        if not ((y == 0.0) | (y == 1.0)).all():
+        if not ((y == 0.0) | (y == 1.0)).all() or (y.size and (y == y[0]).all()):
             return None
     return table
 
@@ -366,7 +366,12 @@ def _parse_rows(path, reader, header: list, y_column: str | None) -> np.ndarray:
                     f"{path}: row {row_num}, column {y_column!r}: label must be 0 or 1"
                 )
         rows.append(parsed)
-    return np.array(rows, dtype=float).reshape(len(rows), len(header))
+    table = np.array(rows, dtype=float).reshape(len(rows), len(header))
+    if y_column is not None and rows:
+        y = table[:, col_index[y_column]]
+        if (y == y[0]).all():
+            raise CsvFormatError(f"{path}: label column {y_column!r} holds only one class")
+    return table
 
 
 def load_csv(

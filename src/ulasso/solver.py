@@ -412,7 +412,7 @@ def logistic_lasso_fit(
     x: np.ndarray,
     y: np.ndarray,
     lam: float,
-    tol: float = 1e-7,
+    tol: float = DEFAULT_TOL,
     beta_init: np.ndarray | None = None,
     intercept_init: float | None = None,
 ) -> tuple[FitResult, float]:

@@ -75,11 +75,12 @@ def lambda_grid(design: CenteredDesign, grid: GridParams = GridParams()) -> np.n
     """Log-spaced descending grid from lam_max = 2*||(1/n) x_t' y_t||_inf down to ratio*lam_max.
 
     lam_max is the exact threshold at which the all-zero vector solves the
-    penalized problem under the mean-squared-error normalization.
+    penalized problem under the mean-squared-error normalization. Raises
+    ``SolverError`` when it is zero, where no descending grid exists.
     """
     lam_max = null_threshold(design)
     if lam_max <= 0.0:
-        raise ValueError("degenerate design: all covariate-response correlations are zero")
+        raise SolverError("degenerate design: all covariate-response correlations are zero")
     return grid.lambdas(lam_max)
 
 
@@ -96,7 +97,8 @@ def fit_ulasso(
 
     ``select_bic`` picks among the converged fits, ties going to the sparser
     one; the trace keeps every raw score. Returns the chosen fit, the trace
-    and the subset; raises ``SolverError`` when no path fit converged.
+    and the subset; raises ``SolverError`` when the tail design is degenerate
+    or no path fit converged.
     """
     subset = extract_extreme_subset(ds, q)
     design = center(subset)

@@ -253,6 +253,32 @@ class TestFit:
         assert code == 3
         assert capsys.readouterr().err == f"data error: {path}: duplicate log1p columns: ['X1']\n"
 
+    def test_single_class_labels_is_data_error(self, tmp_path, capsys, monkeypatch):
+        import ulasso.cli as cli
+
+        def must_not_run(ds, q_values):
+            raise AssertionError("fit ran on single-class labels")
+
+        monkeypatch.setattr(cli, "fit_real", must_not_run)
+        path = tmp_path / "d.csv"
+        rows = "\n".join(f"{i}.0,0,{i % 7}.0,{i % 3}.0" for i in range(400))
+        path.write_text("S,Y,X1,X2\n" + rows + "\n")
+        code = main(["fit", "--data", str(path), "--s-col", "S", "--y-col", "Y",
+                     "--q", "0.1", "--out", str(tmp_path / "r.json")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"data error: {path}: label column 'Y' holds only one class\n")
+
+    def test_degenerate_tail_design_is_solver_error(self, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        rows = "\n".join(f"{i}.0,1.0,2.0" for i in range(200))
+        path.write_text("S,X1,X2\n" + rows + "\n")
+        code = main(["fit", "--data", str(path), "--s-col", "S", "--q", "0.1",
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("solver error: degenerate design")
+        assert not (tmp_path / "r.json").exists()
+
     def test_unwritable_out_is_config_error(self, tmp_path, synthetic_fit_csv, capsys,
                                             monkeypatch):
         import ulasso.cli as cli

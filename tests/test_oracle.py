@@ -7,11 +7,7 @@ import pytest
 from scipy.special import ndtr
 
 from mc_oracle import mc_mean, restricted_surrogate_draws
-from ulasso.extremes import extract_extreme_subset
-from ulasso.model import DesignSpec
-from ulasso.oracle import (
-    TheoryParams,
-    alpha_bar_population,
+from theory_oracle import (
     b_q_sandwich,
     binary_subgaussian_param,
     deviation_bound,
@@ -20,6 +16,12 @@ from ulasso.oracle import (
     lambda_rate,
     linearity_coefficients,
     optimal_q,
+)
+from ulasso.extremes import extract_extreme_subset
+from ulasso.model import DesignSpec
+from ulasso.oracle import (
+    TheoryParams,
+    alpha_bar_population,
     pi_q_bound,
     restricted_log_mgf,
     restricted_mgf,

@@ -50,7 +50,7 @@ class TestLambdaGrid:
         x = np.outer(np.ones(10), [1.0, 2.0])
         y = np.arange(10.0)
         d = center_xy(x, y)
-        with pytest.raises(ValueError, match="degenerate"):
+        with pytest.raises(SolverError, match="degenerate"):
             lambda_grid(d)
 
 
