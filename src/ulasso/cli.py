@@ -139,7 +139,6 @@ def _experiment_config(args) -> ExperimentConfig:
         supervised_sizes=tuple(values["supervised_sizes"]),
         n_replications=args.reps,
         validation_size=int(values["validation_size"]),
-        seed=args.seed,
         grid=GridParams(n_points=int(values["grid_points"]), ratio=float(values["grid_ratio"])),
     )
 
@@ -169,7 +168,7 @@ def _cmd_simulate(args) -> int:
             "supervised_sizes": list(cfg.supervised_sizes),
             "n_replications": cfg.n_replications,
             "validation_size": cfg.validation_size,
-            "seed": cfg.seed,
+            "seed": cfg.sim.seed,
             "grid_points": cfg.grid.n_points,
             "grid_ratio": cfg.grid.ratio,
         },
@@ -185,6 +184,9 @@ def _cmd_fit(args) -> int:
     out_dir = args.out.parent
     if args.out.is_dir() or not (out_dir.is_dir() and os.access(out_dir, os.W_OK)):
         print(f"config error: cannot write {args.out}", file=sys.stderr)
+        return EXIT_CONFIG
+    if not all(0.0 < q <= 1.0 for q in args.q):
+        print("config error: q must lie in (0, 1]", file=sys.stderr)
         return EXIT_CONFIG
     try:
         ds = load_csv(

@@ -79,7 +79,6 @@ class ExperimentConfig:
     supervised_sizes: tuple
     n_replications: int
     validation_size: int
-    seed: int
     grid: GridParams = GridParams()
 
     def __post_init__(self):
@@ -152,8 +151,7 @@ def _logistic_bic_path(x: np.ndarray, y: np.ndarray):
         fit, b0 = logistic_lasso_fit(x, y, float(lam), beta_init=beta, intercept_init=b0)
         fits.append(fit)
         intercepts.append(b0)
-    scores = [2.0 * (f.objective - f.lam * float(np.abs(f.beta_hat).sum()))
-              + math.log(n) / n * len(f.support) for f in fits]
+    scores = [2.0 * f.loss + math.log(n) / n * len(f.support) for f in fits]
     best = select_bic(scores, fits)
     return fits[best], intercepts[best]
 
@@ -168,8 +166,8 @@ def _validation_auc(direction: Direction, val: Dataset) -> float | None:
 def _replicate(cfg: ExperimentConfig, rep: int) -> list:
     """Run one replication; returns flat metric records."""
     spec = design_from_config(cfg.sim)
-    pop = gen_population(spec, cfg.sim.n_pop, rng_stream(cfg.seed, "rep", rep, "population"))
-    val = gen_population(spec, cfg.validation_size, rng_stream(cfg.seed, "rep", rep, "validation"))
+    pop = gen_population(spec, cfg.sim.n_pop, rng_stream(cfg.sim.seed, "rep", rep, "population"))
+    val = gen_population(spec, cfg.validation_size, rng_stream(cfg.sim.seed, "rep", rep, "validation"))
     beta0_dir = normalize_direction(spec.beta0, spec.sigma_mat, spec.beta0)
     support_true = set(np.nonzero(spec.beta0)[0])
     records = []
@@ -206,7 +204,7 @@ def _replicate(cfg: ExperimentConfig, rep: int) -> list:
     )
 
     for n_lab in cfg.supervised_sizes:
-        idx = rng_stream(cfg.seed, "rep", rep, "labels", n_lab).choice(
+        idx = rng_stream(cfg.sim.seed, "rep", rep, "labels", n_lab).choice(
             cfg.sim.n_pop, size=n_lab, replace=False
         )
         fit, _ = _logistic_bic_path(pop.x[idx], pop.y[idx])
@@ -455,16 +453,8 @@ def write_csv(ds: Dataset, path) -> None:
     """Write a Dataset back to the CSV schema accepted by load_csv: columns
     ``S``, ``Y`` (when labeled), ``X1..Xp``."""
     header = ["S"] + (["Y"] if ds.y is not None else []) + [f"X{j + 1}" for j in range(ds.p)]
-    path = Path(path)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for i in range(ds.n_rows):
-            row = [repr(float(ds.s[i]))]
-            if ds.y is not None:
-                row.append(repr(float(ds.y[i])))
-            row.extend(repr(float(v)) for v in ds.x[i])
-            writer.writerow(row)
+    table = np.column_stack([ds.s] + ([ds.y] if ds.y is not None else []) + [ds.x])
+    write_records_csv(path, header, (dict(zip(header, row)) for row in table.tolist()))
 
 
 def fit_real(ds: Dataset, q_values) -> dict:

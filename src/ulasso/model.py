@@ -198,8 +198,13 @@ class ExtremeSubset:
 
 @dataclass(frozen=True)
 class FitResult:
-    """A penalized solution with its optimality certificate; ``support``, the
-    nonzero coordinates of ``beta_hat``, is derived at construction.
+    """A penalized solution with its optimality certificate.
+
+    ``loss`` is the smooth part of the objective at ``beta_hat``, as the
+    solver computed it: the mean squared residual ``r.r / n`` for the tail
+    fit, the mean negative log-likelihood for the logistic fit. Derived at
+    construction: ``support``, the nonzero coordinates of ``beta_hat``, and
+    ``objective = loss + lam * ||beta_hat||_1``.
 
     ``n_iterations`` is the solver's work: its active-set pivot steps plus
     its coordinate-descent sweeps, summed over the reweighting rounds of a
@@ -208,10 +213,11 @@ class FitResult:
     beta_hat: np.ndarray
     lam: float
     kkt_residual: float
-    objective: float
+    loss: float
     n_iterations: int
     converged: bool
     support: frozenset = field(init=False)
+    objective: float = field(init=False)
 
     def __post_init__(self):
         beta = np.asarray(self.beta_hat, dtype=float)
@@ -221,7 +227,8 @@ class FitResult:
         if not (np.isfinite(self.kkt_residual) and self.kkt_residual >= 0.0):
             raise ValueError("kkt_residual must be a nonnegative real")
         _set_fields(self, beta_hat=_frozen_array(beta),
-                    support=frozenset(int(j) for j in np.nonzero(beta)[0]))
+                    support=frozenset(int(j) for j in np.nonzero(beta)[0]),
+                    objective=self.loss + self.lam * float(np.abs(beta).sum()))
 
 
 @dataclass(frozen=True)

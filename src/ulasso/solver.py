@@ -16,8 +16,8 @@ the lasso-LARS drop step when a sign flips (Efron et al. 2004) and
 otherwise brings in the worst KKT violator. A pivot that cannot go on
 falls back to one coordinate-descent sweep, then pivots again. Each fit is
 certified once, at return: ``lasso_fit`` reports the KKT residual and
-objective recomputed from the residual ``y_t - x_t @ beta`` (the values
-``kkt_residual`` and ``objective_value`` give) and flags the fit converged
+loss computed from the residual ``y_t - x_t @ beta`` (``kkt_residual``
+and ``objective_value`` give the same values) and flags the fit converged
 only when that KKT residual is within ``10 * tol``.
 
 The solver works on the columns as given; covariates are rescaled only at
@@ -348,7 +348,7 @@ def lasso_fit(
 
     The kernel reads only ``design.gram`` and ``design.corr``. The fit is
     certified once, here, from one residual ``y_t - x_t @ beta``: the
-    reported KKT residual and objective equal what ``kkt_residual`` and
+    reported KKT residual, loss and objective equal what ``kkt_residual`` and
     ``objective_value`` give at the returned coefficients, and the fit is
     flagged converged only when the kernel converged and that residual-based
     KKT is within ``10 * tol``.
@@ -365,7 +365,7 @@ def lasso_fit(
         beta_hat=beta,
         lam=float(lam),
         kkt_residual=kkt,
-        objective=float(r @ r / design.n + lam * np.abs(beta).sum()),
+        loss=float(r @ r / design.n),
         n_iterations=iterations,
         converged=converged and kkt <= 10.0 * tol,
     )
@@ -474,7 +474,7 @@ def logistic_lasso_fit(
         beta_hat=beta,
         lam=float(lam),
         kkt_residual=worst,
-        objective=_avg_nll(eta, y) + lam * float(np.abs(beta).sum()),
+        loss=_avg_nll(eta, y),
         n_iterations=total_iterations,
         converged=converged,
     )

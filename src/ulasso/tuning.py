@@ -15,7 +15,6 @@ from .solver import (
     center,
     lasso_path,
     null_threshold,
-    objective_value,
 )
 
 __all__ = ["GridParams", "TuningTrace", "select_bic", "lambda_grid", "bic_score", "fit_ulasso"]
@@ -84,10 +83,9 @@ def lambda_grid(design: CenteredDesign, grid: GridParams = GridParams()) -> np.n
     return grid.lambdas(lam_max)
 
 
-def bic_score(design: CenteredDesign, fit: FitResult, n_q: int) -> float:
-    """Mean squared loss at the fit plus log(n_q)/n_q per selected coordinate."""
-    loss = objective_value(design, fit.beta_hat, 0.0)
-    return loss + math.log(n_q) / n_q * len(fit.support)
+def bic_score(fit: FitResult, n_q: int) -> float:
+    """The fit's mean squared loss plus log(n_q)/n_q per selected coordinate."""
+    return fit.loss + math.log(n_q) / n_q * len(fit.support)
 
 
 def fit_ulasso(
@@ -104,6 +102,6 @@ def fit_ulasso(
     design = center(subset)
     lams = lambda_grid(design, grid_params)
     fits = lasso_path(design, lams)
-    scores = np.array([bic_score(design, fit, subset.n_q) for fit in fits])
+    scores = np.array([bic_score(fit, subset.n_q) for fit in fits])
     trace = TuningTrace(lambdas=lams, bic_values=scores, fits=fits)
     return fits[trace.selected_index], trace, subset

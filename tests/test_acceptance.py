@@ -59,7 +59,6 @@ def benchmark_experiment():
         supervised_sizes=(500,),
         n_replications=50,
         validation_size=100_000,
-        seed=ACCEPT_SEED,
     )
     return run_experiment(cfg, workers=2)
 

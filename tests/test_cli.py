@@ -292,6 +292,20 @@ class TestFit:
         assert code == 2
         assert capsys.readouterr().err.startswith("config error: ")
 
+    @pytest.mark.parametrize("bad_q", ["1.5", "0", "-0.1", "nan"])
+    def test_bad_q_is_config_error_before_load(self, tmp_path, synthetic_fit_csv, capsys,
+                                               monkeypatch, bad_q):
+        import ulasso.cli as cli
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the CSV was loaded before the q check")
+
+        monkeypatch.setattr(cli, "load_csv", must_not_run)
+        code = main(["fit", "--data", str(synthetic_fit_csv), "--s-col", "S",
+                     "--q", "0.02", "--q", bad_q, "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert capsys.readouterr().err == "config error: q must lie in (0, 1]\n"
+
 
 class TestOracle:
     def test_prints_report(self, capsys):

@@ -35,7 +35,6 @@ def _tiny_config(seed=11, reps=3):
         supervised_sizes=(300,),
         n_replications=reps,
         validation_size=4000,
-        seed=seed,
         grid=GridParams(n_points=40, ratio=1e-3),
     )
 
@@ -46,7 +45,7 @@ class TestExperimentConfig:
         sim = SimulationConfig(p=p, rho=0.0, xi_law=XiLaw.NORMAL_3_1, n_pop=4000, seed=1)
         with pytest.raises(ValueError, match="true support"):
             ExperimentConfig(sim=sim, q_values=(0.1,), supervised_sizes=(300,),
-                             n_replications=1, validation_size=4000, seed=1)
+                             n_replications=1, validation_size=4000)
 
 
 class TestRunExperiment:

@@ -176,11 +176,12 @@ class TestFitResult:
             beta_hat=np.array([1.0, 0.0]),
             lam=0.1,
             kkt_residual=1e-9,
-            objective=0.3,
+            loss=0.3,
             n_iterations=5,
             converged=True,
         )
         assert fit.support == frozenset({0})
+        assert fit.objective == 0.3 + 0.1 * 1.0
 
     def test_negative_kkt(self):
         with pytest.raises(ValueError, match="kkt"):
@@ -188,7 +189,7 @@ class TestFitResult:
                 beta_hat=np.zeros(2),
                 lam=0.1,
                 kkt_residual=-1.0,
-                objective=0.3,
+                loss=0.3,
                 n_iterations=5,
                 converged=True,
             )

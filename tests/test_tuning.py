@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ulasso import solver, tuning
 from ulasso.extremes import extract_extreme_subset
 from ulasso.model import Dataset, DesignSpec, FitResult
 from ulasso.sampler import gen_population, rng_stream
-from ulasso.solver import SolverError, center, center_xy, lasso_fit, lasso_path
+from ulasso.solver import SolverError, center, center_xy, lasso_fit, lasso_path, objective_value
 from ulasso.tuning import (
     GridParams,
     TuningTrace,
@@ -59,19 +61,21 @@ class TestBicScore:
         sub = extract_extreme_subset(pop_100k, 0.02)
         d = center(sub)
         null = lasso_fit(d, float(lambda_grid(d)[0]))
-        assert bic_score(d, null, sub.n_q) == pytest.approx(0.25, abs=1e-15)
+        assert bic_score(null, sub.n_q) == pytest.approx(0.25, abs=1e-15)
 
     def test_sparser_wins_at_equal_loss(self):
-        # two fits with identical loss; the support-0 one scores lower by log(n)/n
+        # two fits with identical loss on this design; the support-0 one
+        # scores lower by log(n)/n per coordinate
         x = np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, 1.0], [-1.0, -1.0]])
         d = center_xy(x, np.zeros(4))
-        f0 = FitResult(beta_hat=np.zeros(2), lam=1.0,
-                       kkt_residual=0.0, objective=0.0, n_iterations=1, converged=True)
-        f1 = FitResult(beta_hat=np.array([1.0, -1.0]), lam=0.0,
-                       kkt_residual=0.0, objective=0.0, n_iterations=1, converged=True)
+        b0, b1 = np.zeros(2), np.array([1.0, -1.0])
+        f0 = FitResult(beta_hat=b0, lam=1.0, kkt_residual=0.0,
+                       loss=objective_value(d, b0, 0.0), n_iterations=1, converged=True)
+        f1 = FitResult(beta_hat=b1, lam=0.0, kkt_residual=0.0,
+                       loss=objective_value(d, b1, 0.0), n_iterations=1, converged=True)
         n_q = 4
-        assert bic_score(d, f0, n_q) + 2 * math.log(n_q) / n_q == pytest.approx(
-            bic_score(d, f1, n_q)
+        assert bic_score(f0, n_q) + 2 * math.log(n_q) / n_q == pytest.approx(
+            bic_score(f1, n_q)
         )
 
     def test_minimizer_matches_exhaustive_grid_scoring(self, pop_100k):
@@ -79,7 +83,7 @@ class TestBicScore:
         d = center(sub)
         lams = lambda_grid(d, GridParams(n_points=40, ratio=1e-3))
         fits = lasso_path(d, lams)
-        scores = [bic_score(d, f, sub.n_q) for f in fits]
+        scores = [bic_score(f, sub.n_q) for f in fits]
         brute_best = min(range(len(scores)), key=lambda i: (scores[i], i))
         _, trace, _ = fit_ulasso(pop_100k, 0.02, grid_params=GridParams(n_points=40, ratio=1e-3))
         assert trace.selected_index == brute_best
@@ -87,7 +91,7 @@ class TestBicScore:
 
 def _fit_result(converged):
     return FitResult(beta_hat=np.zeros(2), lam=1.0,
-                     kkt_residual=0.0, objective=0.0, n_iterations=1, converged=converged)
+                     kkt_residual=0.0, loss=0.0, n_iterations=1, converged=converged)
 
 
 class TestSelectBic:
@@ -130,8 +134,10 @@ class TestFitUlasso:
     def test_bic_values_recomputable(self, pop_100k):
         _, trace, sub = fit_ulasso(pop_100k, 0.04)
         d = center(sub)
-        recomputed = np.array([bic_score(d, f, sub.n_q) for f in trace.fits])
-        assert np.abs(recomputed - trace.bic_values).max() <= 1e-12
+        recomputed = np.array([objective_value(d, f.beta_hat, 0.0)
+                               + math.log(sub.n_q) / sub.n_q * len(f.support)
+                               for f in trace.fits])
+        assert np.array_equal(recomputed, trace.bic_values)
 
     def test_selected_fit_certificate(self, pop_100k):
         fit, _, sub = fit_ulasso(pop_100k, 0.02)
@@ -167,9 +173,76 @@ class TestFitUlasso:
         assert cos_alpha >= cos_beta
 
     def test_grid_permutation_invariance(self, pop_100k):
-        # fitting is defined on the sorted grid, so any stated grid order
-        # reaching the tuner produces the same selection
+        # the same GridParams, fitted twice, gives the same selection and fit
         fit_a, trace_a, _ = fit_ulasso(pop_100k, 0.02, grid_params=GridParams(n_points=25, ratio=1e-3))
         fit_b, trace_b, _ = fit_ulasso(pop_100k, 0.02, grid_params=GridParams(n_points=25, ratio=1e-3))
         assert trace_a.selected_index == trace_b.selected_index
         assert np.array_equal(fit_a.beta_hat, fit_b.beta_hat)
+
+
+_INVARIANCE = settings(max_examples=25, deadline=None, derandomize=True)
+_DESIGNS = {"seed": st.integers(0, 2**32 - 1), "p": st.integers(6, 15),
+            "q": st.sampled_from([0.02, 0.05, 0.1])}
+
+
+def _population(seed, p, n=20_000):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, p))
+    alpha = np.zeros(p)
+    alpha[rng.permutation(p)[:3]] = (1.0, -0.7, 0.4)
+    return x, x @ alpha + rng.standard_normal(n), rng
+
+
+def _path(x, s, q):
+    _, trace, subset = fit_ulasso(Dataset(x=x, s=s), q)
+    return trace, subset
+
+
+def _assert_path_maps(base, other, beta_map):
+    """Same subset and pick; each fit of ``other`` is ``beta_map`` of the base fit."""
+    (trace_a, sub_a), (trace_b, sub_b) = base, other
+    assert np.array_equal(sub_a.source_indices, sub_b.source_indices)
+    assert trace_a.selected_index == trace_b.selected_index
+    assert np.abs(trace_a.lambdas - trace_b.lambdas).max() <= 1e-10
+    for fa, fb in zip(trace_a.fits, trace_b.fits, strict=True):
+        assert np.abs(beta_map(fa.beta_hat) - fb.beta_hat).max() <= 1e-10
+
+
+class TestPipelineInvariance:
+    @_INVARIANCE
+    @given(**_DESIGNS)
+    def test_column_permutation_permutes_every_fit(self, seed, p, q):
+        x, s, rng = _population(seed, p)
+        perm = rng.permutation(p)
+        _assert_path_maps(_path(x, s, q), _path(x[:, perm], s, q), lambda b: b[perm])
+
+    @_INVARIANCE
+    @given(**_DESIGNS, j=st.integers(0, 14))
+    def test_negated_column_negates_its_coefficient(self, seed, p, q, j):
+        x, s, _ = _population(seed, p)
+        sign = np.ones(p)
+        sign[j % p] = -1.0
+        _assert_path_maps(_path(x, s, q), _path(x * sign, s, q), lambda b: sign * b)
+
+    @_INVARIANCE
+    @given(**_DESIGNS, j=st.integers(0, 14), shift=st.floats(-50.0, 50.0))
+    def test_column_shift_changes_nothing(self, seed, p, q, j, shift):
+        x, s, _ = _population(seed, p)
+        shifted = x.copy()
+        shifted[:, j % p] += shift
+        _assert_path_maps(_path(x, s, q), _path(shifted, s, q), lambda b: b)
+
+    @_INVARIANCE
+    @given(**_DESIGNS, transform=st.sampled_from(
+        [lambda s: np.exp(s / 4.0), lambda s: s**3 + s, lambda s: 2.0 * s - 7.0]))
+    def test_increasing_transform_of_s_keeps_subset_and_fits(self, seed, p, q, transform):
+        x, s, _ = _population(seed, p)
+        moved = transform(s)
+        order = np.argsort(s)
+        assert np.all(np.diff(s[order]) > 0.0) and np.all(np.diff(moved[order]) > 0.0)
+        (trace_a, sub_a), (trace_b, sub_b) = _path(x, s, q), _path(x, moved, q)
+        assert np.array_equal(sub_a.source_indices, sub_b.source_indices)
+        assert trace_a.selected_index == trace_b.selected_index
+        assert np.array_equal(trace_a.bic_values, trace_b.bic_values)
+        for fa, fb in zip(trace_a.fits, trace_b.fits, strict=True):
+            assert np.array_equal(fa.beta_hat, fb.beta_hat)
