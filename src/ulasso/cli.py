@@ -30,7 +30,6 @@ from .harness import (
     write_records_csv,
 )
 from .model import DegenerateTailsError
-from .oracle import theory_report
 from .sampler import SimulationConfig, XiLaw, design_from_config
 from .solver import SolverError
 from .tuning import GridParams
@@ -216,6 +215,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .oracle import theory_report  # scipy.special: loaded by this subcommand only
+
     try:
         sim = SimulationConfig(
             p=args.p,

@@ -454,7 +454,7 @@ def write_csv(ds: Dataset, path) -> None:
     ``S``, ``Y`` (when labeled), ``X1..Xp``."""
     header = ["S"] + (["Y"] if ds.y is not None else []) + [f"X{j + 1}" for j in range(ds.p)]
     table = np.column_stack([ds.s] + ([ds.y] if ds.y is not None else []) + [ds.x])
-    write_records_csv(path, header, (dict(zip(header, row)) for row in table.tolist()))
+    _write_rows_csv(path, header, table.tolist())
 
 
 def fit_real(ds: Dataset, q_values) -> dict:
@@ -547,16 +547,18 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def write_records_csv(path, columns, records) -> None:
-    """Write ``columns`` as the header, then one row per record mapping.
-
-    A missing or None cell is empty; floats are written in shortest
-    round-trip form, so repeated runs are byte-identical.
-    """
+def _write_rows_csv(path, columns, rows) -> None:
+    """Write ``columns`` as the header, then each row's cells in column order. A None
+    cell is empty; floats take shortest round-trip form, so repeated runs are byte-identical."""
     with Path(path).open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(columns)
-        writer.writerows([_format_cell(rec.get(c)) for c in columns] for rec in records)
+        writer.writerows([_format_cell(v) for v in row] for row in rows)
+
+
+def write_records_csv(path, columns, records) -> None:
+    """Write ``columns`` as the header, then one row per record mapping (a missing cell is empty)."""
+    _write_rows_csv(path, columns, ([rec.get(c) for c in columns] for rec in records))
 
 
 def write_json(payload, handle) -> None:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .model import Direction
 
@@ -66,18 +65,23 @@ def relative_efficiency(mse_num: float, mse_den: float) -> float:
 def auc(scores: np.ndarray, labels: np.ndarray) -> float:
     """Rank-based concordance P(score+ > score-) + 0.5 P(score+ = score-).
 
-    Computed exactly from midranks, so ties contribute one half.
+    Exact, as midranks give: the Mann-Whitney U counts, per positive, the
+    negatives below it plus half those tied with it, so U is a half-integer
+    and U / (n+ n-) is exact.
     """
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
+    if np.isnan(scores).any():
+        raise ValueError("scores must not be NaN")
     pos = labels == 1
     n_pos = int(pos.sum())
     n_neg = labels.shape[0] - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("auc requires both classes")
-    ranks = rankdata(scores)
-    u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
-    return float(u / (n_pos * n_neg))
+    neg, pos_sorted = np.sort(scores[~pos]), np.sort(scores[pos])
+    lo = int(np.searchsorted(neg, pos_sorted, side="left").sum())
+    hi = int(np.searchsorted(neg, pos_sorted, side="right").sum())
+    return float((lo + hi) / 2.0 / (n_pos * n_neg))
 
 
 def tpr_fpr(support_est: set, support_true: set, p: int) -> tuple[float, float]:

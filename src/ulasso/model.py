@@ -58,7 +58,8 @@ class DesignSpec:
 
     ``s = alpha0' x + noise`` drives the surrogate and ``y = 1(beta0' x + eps > 0)``
     the outcome, with ``eps`` standard logistic; ``sigma_mat`` is the
-    covariance of the Gaussian design.
+    covariance of the Gaussian design, and ``chol``, derived at construction,
+    its lower Cholesky factor.
     """
 
     p: int
@@ -66,19 +67,23 @@ class DesignSpec:
     beta0: np.ndarray
     alpha0: np.ndarray
     surrogate_noise_sd: float
+    chol: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.p < 1:
             raise ValueError("p must be a positive integer")
-        sigma = np.asarray(self.sigma_mat, dtype=float)
+        sigma = _frozen_array(self.sigma_mat)
         if sigma.shape != (self.p, self.p):
             raise ValueError("sigma_mat must be p x p")
         _require_finite("sigma_mat", sigma)
         scale = max(1.0, float(np.abs(sigma).max()))
         if np.abs(sigma - sigma.T).max() > 1e-12 * scale:
             raise ValueError("sigma_mat must be symmetric within 1e-12")
-        if np.linalg.eigvalsh(sigma).min() <= 0.0:
-            raise ValueError("sigma_mat must be positive definite")
+        try:
+            chol = np.linalg.cholesky(sigma)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError("sigma_mat must be positive definite") from exc
+        chol.setflags(write=False)
         beta0 = np.asarray(self.beta0, dtype=float)
         alpha0 = np.asarray(self.alpha0, dtype=float)
         if beta0.shape != (self.p,) or alpha0.shape != (self.p,):
@@ -89,7 +94,7 @@ class DesignSpec:
             raise ValueError("alpha0 must not be the zero vector")
         if not (np.isfinite(self.surrogate_noise_sd) and self.surrogate_noise_sd >= 0.0):
             raise ValueError("surrogate_noise_sd must be a nonnegative real")
-        _set_fields(self, sigma_mat=_frozen_array(sigma), beta0=_frozen_array(beta0),
+        _set_fields(self, sigma_mat=sigma, chol=chol, beta0=_frozen_array(beta0),
                     alpha0=_frozen_array(alpha0), surrogate_noise_sd=float(self.surrogate_noise_sd))
 
 

@@ -133,19 +133,15 @@ def build_alpha0(
 def gen_population(spec: DesignSpec, n_pop: int, seed) -> Dataset:
     """Draw a fully labeled population from the design.
 
-    X rows are iid Normal(0, sigma_mat) via the lower Cholesky factor,
+    X rows are iid Normal(0, sigma_mat) via its Cholesky factor ``spec.chol``,
     s = x @ alpha0 + Normal(0, sd^2) noise, and y = 1(x @ beta0 + eps > 0)
     with eps standard logistic, independent of everything else. ``seed`` is
     an integer or an already-derived Generator.
     """
     if n_pop < 1:
         raise ValueError("n_pop must be at least 1")
-    try:
-        chol = np.linalg.cholesky(spec.sigma_mat)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("sigma_mat must be positive definite (Cholesky failed)") from exc
     rng = seed if isinstance(seed, np.random.Generator) else rng_stream(seed, "population")
-    x = rng.standard_normal((n_pop, spec.p)) @ chol.T
+    x = rng.standard_normal((n_pop, spec.p)) @ spec.chol.T
     eps_star = rng.standard_normal(n_pop) * spec.surrogate_noise_sd
     s = x @ spec.alpha0 + eps_star
     eps = rng.logistic(loc=0.0, scale=1.0, size=n_pop)

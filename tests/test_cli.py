@@ -350,3 +350,12 @@ def test_fit_degenerate_tails_is_data_error(tmp_path):
     code = main(["fit", "--data", str(path), "--s-col", "S",
                  "--q", "0.5", "--out", str(tmp_path / "r.json")])
     assert code == 3
+
+
+def test_import_loads_neither_scipy_stats_nor_special():
+    """``fit`` and ``simulate`` need only scipy.linalg; scipy.special is loaded by
+    ``oracle`` alone, and the AUC is counted without scipy.stats."""
+    probe = "import sys, ulasso.cli; print(sorted({'scipy.stats', 'scipy.special'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

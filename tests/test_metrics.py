@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from ulasso.metrics import (
     auc,
@@ -16,6 +17,9 @@ from ulasso.metrics import (
     tpr_fpr,
 )
 from ulasso.model import Direction
+
+
+_EDGE_SCORES = [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 1e300, -1e300]
 
 
 def _brute_force_auc(scores, labels):
@@ -130,6 +134,31 @@ class TestAuc:
         with pytest.raises(ValueError, match="both classes"):
             auc(np.arange(4.0), np.zeros(4))
 
+    def test_nan_score_rejected(self):
+        with pytest.raises(ValueError, match="scores must not be NaN"):
+            auc(np.array([0.1, np.nan, 0.3, 0.4]), np.array([0, 1, 0, 1]))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.floats(allow_nan=False) | st.sampled_from(_EDGE_SCORES), min_size=1, max_size=8),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.integers(min_value=2, max_value=2000),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_midrank_reference_exactly(self, pool, tie_share, n, pos_share, seed):
+        # Scores come from a small pool (heavy ties, signed zeros, infinities)
+        # or are continuous; the classes can be arbitrarily unbalanced.
+        rng = np.random.default_rng(seed)
+        tied = rng.random(n) < tie_share
+        scores = np.where(tied, rng.choice(np.array(pool), size=n), rng.standard_normal(n))
+        labels = (rng.random(n) < pos_share).astype(int)
+        labels[0], labels[-1] = 1, 0
+        n_pos = int(labels.sum())
+        n_neg = n - n_pos
+        u = rankdata(scores)[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0
+        assert auc(scores, labels) == u / (n_pos * n_neg)
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=4, max_value=200))
     def test_matches_pair_counting(self, seed, n):
@@ -138,7 +167,7 @@ class TestAuc:
         labels = rng.integers(0, 2, size=n)
         if labels.min() == labels.max():
             return
-        assert auc(scores, labels) == pytest.approx(_brute_force_auc(scores, labels), abs=1e-12)
+        assert auc(scores, labels) == _brute_force_auc(scores, labels)
 
     @settings(max_examples=60, deadline=None)
     @given(

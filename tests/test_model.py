@@ -38,6 +38,14 @@ class TestDesignSpec:
         with pytest.raises(ValueError, match="symmetric"):
             DesignSpec(**kwargs)
 
+    def test_cholesky_factor_is_derived_and_frozen(self):
+        kwargs = _spec_kwargs()
+        kwargs["sigma_mat"] = np.array([[1.0, 0.5, 0.25], [0.5, 1.0, 0.5], [0.25, 0.5, 1.0]])
+        spec = DesignSpec(**kwargs)
+        assert np.array_equal(spec.chol, np.linalg.cholesky(spec.sigma_mat))
+        with pytest.raises(ValueError):
+            spec.chol[0, 0] = 2.0
+
     def test_not_positive_definite(self):
         kwargs = _spec_kwargs()
         kwargs["sigma_mat"] = np.diag([1.0, 1.0, 0.0])
