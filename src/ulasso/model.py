@@ -211,9 +211,8 @@ class FitResult:
     construction: ``support``, the nonzero coordinates of ``beta_hat``, and
     ``objective = loss + lam * ||beta_hat||_1``.
 
-    ``n_iterations`` is the solver's work: its active-set pivot steps plus
-    its coordinate-descent sweeps, summed over the reweighting rounds of a
-    logistic fit."""
+    ``n_iterations`` is the solver's work: its active-set pivot and span
+    steps, summed over the reweighting rounds of a logistic fit."""
 
     beta_hat: np.ndarray
     lam: float

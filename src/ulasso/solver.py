@@ -1,6 +1,6 @@
 """Centered squared-loss LASSO by active-set pivoting on the design's second
-moments, with coordinate descent as the fallback, plus a supervised
-logistic-LASSO baseline whose reweighted inner problems go to the same kernel.
+moments, plus a supervised logistic-LASSO baseline whose reweighted inner
+problems go to the same kernel.
 
 Loss normalization is mean squared error, ``(1/n) * sum((y_t - x_t @ beta)**2)``,
 so the smooth-part gradient is ``-2 * T(beta)`` with ``T`` the empirical score
@@ -13,8 +13,9 @@ enters it. From the warm start it pivots on an updated Cholesky factor of
 the active block of ``gram``: each step solves the stationarity system on
 the current active set and signs (Osborne, Presnell & Turlach 2000), takes
 the lasso-LARS drop step when a sign flips (Efron et al. 2004) and
-otherwise brings in the worst KKT violator. A pivot that cannot go on
-falls back to one coordinate-descent sweep, then pivots again. Each fit is
+otherwise brings in the worst KKT violator. A column in the span of the
+active ones (duplicated covariates, or p > n) is traded in by a step that
+keeps the fitted values fixed and does not raise the penalty. Each fit is
 certified once, at return: ``lasso_fit`` reports the KKT residual and
 loss computed from the residual ``y_t - x_t @ beta`` (``kkt_residual``
 and ``objective_value`` give the same values) and flags the fit converged
@@ -49,6 +50,14 @@ __all__ = [
 
 DEFAULT_TOL = 1e-7
 DEFAULT_MAX_SWEEPS = 10_000
+# A column whose squared pivot is at most this share of its second moment is
+# taken as in the span of the columns before it. Roundoff leaves a few ulps of
+# gram[j, j] in the squared pivot of a dependent column, so with no floor such
+# a pivot is kept and the solves run on a garbage factor; a floor of 1e-10
+# takes genuine near pairs (noise 1e-5 relative) as spanned, and their fits
+# stick. 1e-14 and 1e-12 both leave no fit unconverged on random designs with
+# exact duplicates and near pairs.
+_PIVOT_FLOOR = 1e-12
 _LOGISTIC_WEIGHT_FLOOR = 1e-5
 _LOGISTIC_BETA_CAP = 30.0
 _LOGISTIC_MAX_OUTER = 100
@@ -164,7 +173,7 @@ def kkt_residual(design: CenteredDesign, beta: np.ndarray, lam: float) -> float:
     return _kkt_violation(2.0 * gradient_t(design, beta), beta, lam)
 
 
-def _gram_cd(
+def _gram_pivot(
     gram: np.ndarray,
     corr: np.ndarray,
     lam: float,
@@ -174,167 +183,152 @@ def _gram_cd(
     objective_log: list | None = None,
 ) -> tuple[np.ndarray, int, bool]:
     """Minimize (1/n)||y - x b||^2 + lam ||b||_1 from ``gram = x'x/n`` and
-    ``corr = x'y/n`` alone, by active-set pivoting with coordinate descent as
-    the fallback.
+    ``corr = x'y/n`` alone, by active-set pivoting.
 
-    A pivot phase starts from the warm start's nonzeros A, in index order,
-    with their signs s, and an upper Cholesky factor of ``gram[A, A]``;
-    ``g = corr - gram b`` is half the negated smooth gradient. Each step
-    solves ``gram[A, A] b = corr_A - (lam / 2) s`` with LAPACK ``dpotrs``.
-    If some ``b_i`` lacks the sign ``s_i``, the step goes from ``beta_A``
-    toward ``b`` only to the first zero crossing (ties go to the first in
-    factor order), drops that coordinate and refactors: the lasso-LARS drop
-    step (Efron, Hastie, Johnstone & Tibshirani 2004, section 3.1; Osborne,
-    Presnell & Turlach 2000). Otherwise it moves to ``b`` and appends the
-    inactive j with the largest ``|g_j| > lam / 2`` (the sweep's own strict
-    test), with the sign of ``g_j``, growing the factor by one ``dtrtrs``.
-    When column j lies in the span of the active columns (a non-positive
-    append pivot, as when p > n), j enters by a swap instead: the step moves
-    along the direction that keeps ``x b`` fixed and lowers the penalty,
-    until a coordinate of A reaches zero, and trades that coordinate for j.
-    When no j is left and the moment-form KKT residual of ``2 g`` is within
-    ``10 * tol``, the fit is returned converged.
+    The active set A holds the current nonzeros (at the start, the warm
+    start's, in index order) with their signs s; ``g = corr - gram b`` is
+    half the negated smooth gradient. The upper Cholesky factor of
+    ``gram[A, A]`` comes from LAPACK ``dpotrf``; a column whose squared pivot
+    is at most ``_PIVOT_FLOOR`` times its second moment lies in the span of
+    the columns before it. Each step is one of two moves.
 
-    A phase fails on a factor that is not positive definite, on a step whose
-    objective is above the last one, after ``2 p + 2`` steps, or on a failed
-    KKT gate. One coordinate-descent sweep then runs from its last accepted
-    point (a coordinate step costs O(p) on the running ``g``; zero-variance
-    columns stay at zero), and a new phase starts from the sweep's result.
-    The sweeps also return converged on their own, once the largest
-    coordinate change is at most ``tol`` and the KKT residual is within
-    ``10 * tol``. Pivot steps and sweeps draw on one budget of
-    ``max_sweeps``; once it is spent, the last point is returned
-    unconverged. Objectives are ``-b.(corr + g) + lam ||b||_1``, the
-    penalized loss less the constant ``||y||^2 / n``; the start, each
-    accepted step and each sweep append theirs to ``objective_log``, and a
-    sweep that raises it beyond roundoff raises ``SolverError`` (exact
-    coordinate minimization cannot). Returns ``(beta, pivot steps + sweeps,
-    converged)``; the caller certifies the returned fit.
+    The solve step solves ``gram[A, A] b = corr_A - (lam / 2) s`` with
+    ``dpotrs``. If some ``b_i`` lacks the sign ``s_i``, it goes from
+    ``beta_A`` toward ``b`` only to the first zero crossing (ties go to the
+    first in factor order), drops that coordinate and refactors: the
+    lasso-LARS drop step (Efron, Hastie, Johnstone & Tibshirani 2004,
+    section 3.1; Osborne, Presnell & Turlach 2000). Otherwise it moves to
+    ``b`` and appends the inactive j with the largest ``|g_j| > lam / 2``,
+    with the sign of ``g_j``, growing the factor by one ``dtrtrs``.
+
+    The span step serves a column with ``x_j = x_A[:k] @ span``: moving
+    along ``(-c span, c)`` on ``A[:k]`` and j keeps ``x b``, hence ``g``,
+    fixed. Either j is ``A[k]``, a warm coordinate the factor rejects, with
+    ``c = -sign(s_j - span . s[:k])`` (``-s_j`` on a tie), or j is a violator
+    in the span of all of A (as when p > n), entering with ``c = sign(g_j)``;
+    neither raises the penalty. The step goes to the first zero crossing,
+    drops that coordinate (an entering j takes its place) and refactors. A
+    violator in the span is passed over when ``|g_j| - lam / 2`` is within
+    roundoff, ``1e-12 (|corr_j| + |gram_j| . |b|)``: entering would not lower
+    the penalty. That is how an exact duplicate of an active column shows,
+    and the computed ``span`` cannot tell when the active block is
+    ill-conditioned.
+
+    When no violator is left and the moment-form KKT residual of ``2 g`` is
+    within ``10 * tol``, the fit is returned converged. Objectives are
+    ``-b.(corr + g) + lam ||b||_1``, the penalized loss less the constant
+    ``||y||^2 / n``; the start and each accepted step append theirs to
+    ``objective_log``. A step that would raise it beyond roundoff, or a
+    spent budget of ``max_sweeps`` steps, returns the last point
+    unconverged. Returns ``(beta, steps, converged)``; the caller certifies
+    the returned fit.
     """
     p = gram.shape[0]
-    diag = gram.diagonal().tolist()
     free = gram.diagonal() > 0.0
     beta = np.zeros(p) if beta_init is None else np.array(beta_init, dtype=float)
     beta[~free] = 0.0
     thr = lam / 2.0
-    max_steps = 2 * p + 2
 
     def objective(b, g_b):
         return float(-(b @ (corr + g_b)) + lam * np.abs(b).sum())
 
-    def not_above(obj, ref):
-        return obj <= ref + 1e-10 * (1.0 + abs(ref))
-
-    def log(obj):
+    g = corr - gram @ beta
+    obj = objective(beta, g)
+    if objective_log is not None:
+        objective_log.append(obj)
+    active = np.flatnonzero(beta).tolist()
+    signs = np.sign(beta[active])
+    upper = span = None
+    step = 0
+    for step in range(1, max_sweeps + 1):
+        if upper is None:
+            block = gram[np.ix_(active, active)]
+            lower, info = lapack.dpotrf(block, lower=1)
+            upper, done = lower.T, info - 1 if info > 0 else len(active)
+            weak = np.flatnonzero(
+                upper.diagonal()[:done] ** 2 <= _PIVOT_FLOOR * block.diagonal()[:done])
+            k = int(weak[0]) if weak.size else done
+            if k < len(active):
+                j, head = active[k], upper[:k, :k]
+                w = lapack.dtrtrs(head, gram[active[:k], j], lower=0, trans=1)[0]
+                span = lapack.dtrtrs(head, w, lower=0)[0]
+                edge = signs[k] - span @ signs[:k]
+                c = -np.sign(edge) if edge != 0.0 else -signs[k]
+        b_a = beta[active]
+        entering = span is not None and span.size == len(active)
+        if span is None:
+            rhs = corr[active] - thr * signs
+            b = lapack.dpotrs(upper, rhs, lower=0)[0] if active else rhs
+            direction, reach = b - b_a, 1.0
+        else:
+            direction, reach = np.zeros(len(active)), np.inf
+            direction[:span.size] = -c * span
+            if not entering:
+                direction[span.size] = c
+        closing = np.flatnonzero(direction * signs < 0.0)
+        t = -b_a[closing] / direction[closing]
+        new = np.zeros(p)
+        if t.size and t.min() <= reach:
+            out = closing[np.argmin(t)]
+            new[active] = b_a + t.min() * direction
+            new[active[out]] = 0.0
+            if entering:
+                new[j] = t.min() * c
+        elif span is None:
+            out = None
+            new[active] = b
+        else:
+            break
+        g_new = corr - gram @ new
+        obj_new = objective(new, g_new)
+        if not obj_new <= obj + 1e-10 * (1.0 + abs(obj)):
+            break
+        beta, g, obj = new, g_new, obj_new
         if objective_log is not None:
             objective_log.append(obj)
-
-    def pivot(beta, g, obj, budget):
-        active = np.flatnonzero(beta).tolist()
-        signs = np.sign(beta[active])
-        entering = upper = None
-        step = 0
-        for step in range(1, min(max_steps, budget) + 1):
-            if upper is None:
-                try:
-                    upper = np.linalg.cholesky(gram[np.ix_(active, active)]).T
-                except np.linalg.LinAlgError:
-                    return beta, g, obj, step - 1, False
-            b_a = beta[active]
-            if entering is None:
-                rhs = corr[active] - thr * signs
-                b = lapack.dpotrs(upper, rhs, lower=0)[0] if active else rhs
-                direction, reach = b - b_a, 1.0
-            else:
-                direction, reach = -sign_in * span, np.inf
-            closing = np.flatnonzero(direction * signs < 0.0)
-            t = -b_a[closing] / direction[closing]
-            new = np.zeros(p)
-            if t.size and t.min() <= reach:
-                k = closing[np.argmin(t)]
-                new[active] = b_a + t.min() * direction
-                new[active[k]] = 0.0
-                if entering is not None:
-                    new[entering] = t.min() * sign_in
-            elif entering is None:
-                k = None
-                new[active] = b
-            else:
-                break
-            g_new = corr - gram @ new
-            obj_new = objective(new, g_new)
-            if not not_above(obj_new, obj):
-                break
-            beta, g, obj = new, g_new, obj_new
-            log(obj)
-            if k is not None:
-                del active[k]
-                signs = np.delete(signs, k)
-                if entering is not None:
-                    active.append(entering)
-                    signs = np.append(signs, sign_in)
-                    entering = None
-                upper = None
-                continue
-            viol = np.where(free & (beta == 0.0), np.abs(g), 0.0)
+        if out is not None:
+            del active[out]
+            signs = np.delete(signs, out)
+            if entering:
+                active.append(j)
+                signs = np.append(signs, c)
+            upper = span = None
+            continue
+        viol = np.where(free & (beta == 0.0), np.abs(g), 0.0)
+        while True:
             j = int(np.argmax(viol))
             if viol[j] <= thr:
-                return beta, g, obj, step, _kkt_violation(2.0 * g, beta, lam) <= 10.0 * tol
+                return beta, step, _kkt_violation(2.0 * g, beta, lam) <= 10.0 * tol
             col = gram[active, j]
             w = lapack.dtrtrs(upper, col, lower=0, trans=1)[0] if active else col
             pivot_sq = gram[j, j] - w @ w
-            if pivot_sq <= 0.0:
-                # x_j = x_A @ span, so moving along (-sign_in * span, sign_in) keeps x b fixed.
-                entering, sign_in = j, np.sign(g[j])
-                span = lapack.dtrtrs(upper, w, lower=0)[0]
+            if pivot_sq > _PIVOT_FLOOR * gram[j, j]:
+                n_a = len(active)
+                grown = np.zeros((n_a + 1, n_a + 1), order="F")
+                grown[:n_a, :n_a] = upper
+                grown[:n_a, n_a] = w
+                grown[n_a, n_a] = np.sqrt(pivot_sq)
+                upper = grown
+                active.append(j)
+                signs = np.append(signs, np.sign(g[j]))
+                break
+            if abs(g[j]) - thr <= 1e-12 * (abs(corr[j]) + np.abs(gram[j]) @ np.abs(beta)):
+                viol[j] = 0.0
                 continue
-            n_a = len(active)
-            grown = np.zeros((n_a + 1, n_a + 1), order="F")
-            grown[:n_a, :n_a] = upper
-            grown[:n_a, n_a] = w
-            grown[n_a, n_a] = np.sqrt(pivot_sq)
-            upper = grown
-            active.append(j)
-            signs = np.append(signs, np.sign(g[j]))
-        return beta, g, obj, step, False
+            span, c = lapack.dtrtrs(upper, w, lower=0)[0], np.sign(g[j])
+            break
+    return beta, step, False
 
-    g = corr - gram @ beta
-    obj = objective(beta, g)
-    log(obj)
-    iterations = 0
-    while True:
-        beta, g, obj, steps, finished = pivot(beta, g, obj, max_sweeps - iterations)
-        iterations += steps
-        if finished or iterations >= max_sweeps:
-            return beta, iterations, finished
-        iterations += 1
-        max_delta = 0.0
-        for j in range(p):
-            gjj = diag[j]
-            if gjj <= 0.0:
-                continue
-            bj = beta[j]
-            zj = g[j] + gjj * bj
-            if zj > thr:
-                bj_new = (zj - thr) / gjj
-            elif zj < -thr:
-                bj_new = (zj + thr) / gjj
-            else:
-                bj_new = 0.0
-            delta = bj_new - bj
-            if delta != 0.0:
-                g -= delta * gram[j]
-                beta[j] = bj_new
-                if abs(delta) > max_delta:
-                    max_delta = abs(delta)
-        g = corr - gram @ beta
-        swept = objective(beta, g)
-        log(swept)
-        if not not_above(swept, obj):
-            raise SolverError("penalized objective increased across a sweep")
-        obj = swept
-        if max_delta <= tol and _kkt_violation(2.0 * g, beta, lam) <= 10.0 * tol:
-            return beta, iterations, True
+
+def _check_fit_inputs(lam: float, tol: float, beta_init: np.ndarray | None, p: int) -> None:
+    if not (np.isfinite(lam) and lam >= 0.0):
+        raise ValueError("lam must be nonnegative and finite")
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ValueError("tol must be positive and finite")
+    if beta_init is not None:
+        beta_init = np.asarray(beta_init, dtype=float)
+        if beta_init.shape != (p,) or not np.all(np.isfinite(beta_init)):
+            raise ValueError(f"beta_init must be a finite vector of length {p}")
 
 
 def lasso_fit(
@@ -351,13 +345,10 @@ def lasso_fit(
     reported KKT residual, loss and objective equal what ``kkt_residual`` and
     ``objective_value`` give at the returned coefficients, and the fit is
     flagged converged only when the kernel converged and that residual-based
-    KKT is within ``10 * tol``.
+    KKT is within ``10 * tol``. ``max_sweeps`` bounds the kernel's steps.
     """
-    if lam < 0.0:
-        raise ValueError("lam must be nonnegative")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    beta, iterations, converged = _gram_cd(
+    _check_fit_inputs(lam, tol, beta_init, design.p)
+    beta, iterations, converged = _gram_pivot(
         design.gram, design.corr, lam, tol, max_sweeps, beta_init)
     r = design.y_tilde - design.x_tilde @ beta
     kkt = _kkt_violation(2.0 * (design.x_tilde.T @ r / design.n), beta, lam)
@@ -381,8 +372,8 @@ def lasso_path(
     lams = np.asarray(lams, dtype=float)
     if lams.ndim != 1 or lams.size == 0:
         raise ValueError("lams must be a nonempty vector")
-    if np.any(lams < 0.0):
-        raise ValueError("penalties must be nonnegative")
+    if not np.all(np.isfinite(lams) & (lams >= 0.0)):
+        raise ValueError("penalties must be finite and nonnegative")
     if np.any(np.diff(lams) >= 0.0):
         raise ValueError("lams must be strictly descending")
     fits = []
@@ -426,9 +417,10 @@ def logistic_lasso_fit(
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if lam < 0.0:
-        raise ValueError("lam must be nonnegative")
     n, p = x.shape
+    _check_fit_inputs(lam, tol, beta_init, p)
+    if intercept_init is not None and not np.isfinite(intercept_init):
+        raise ValueError("intercept_init must be finite")
     classes = np.unique(y)
     if not np.all(np.isin(classes, (0.0, 1.0))):
         raise ValueError("y entries must all be 0 or 1")
@@ -445,14 +437,14 @@ def logistic_lasso_fit(
         w = np.maximum(prob * (1.0 - prob), _LOGISTIC_WEIGHT_FLOOR)
         z = eta + (y - prob) / w
         # Weighted centering then sqrt(w/2) row scaling turns the quadratic
-        # model (1/(2n)) sum w (z - b0 - x'b)^2 into the unweighted CD loss.
+        # model (1/(2n)) sum w (z - b0 - x'b)^2 into the kernel's unweighted loss.
         w_sum = w.sum()
         xw_mean = (w @ x) / w_sum
         zw_mean = float(w @ z / w_sum)
         root = np.sqrt(w / 2.0)
         xt = (x - xw_mean) * root[:, None]
         zt = (z - zw_mean) * root
-        beta_new, iterations, inner_ok = _gram_cd(
+        beta_new, iterations, inner_ok = _gram_pivot(
             xt.T @ xt / n, xt.T @ zt / n, lam, tol=max(tol / 10.0, 1e-12),
             max_sweeps=1000, beta_init=beta,
         )

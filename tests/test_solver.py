@@ -1,4 +1,5 @@
-"""Coordinate-descent solver: oracles, certificates, and population alignment."""
+"""Active-set pivoting solver: oracles, certificates, degenerate designs, input
+checks, and population alignment."""
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from ulasso.solver import (
     DEFAULT_MAX_SWEEPS,
     DEFAULT_TOL,
     CenteredDesign,
-    _gram_cd,
+    _gram_pivot,
     _kkt_violation,
     center,
     center_xy,
@@ -159,7 +160,7 @@ class TestLassoFit:
             assert fit.kkt_residual <= 10.0 * tol
             assert np.abs(gradient_t(d, fit.beta_hat)).max() <= lam / 2.0 + 10.0 * tol
 
-    def test_objective_monotone_across_sweeps(self, rng):
+    def test_objective_monotone_across_steps(self, rng):
         def assert_non_increasing(log):
             diffs = np.diff(np.asarray(log))
             assert np.all(diffs <= 1e-12 * (1.0 + np.abs(np.asarray(log[:-1]))))
@@ -167,12 +168,12 @@ class TestLassoFit:
         # Pivot steps alone: the start and one entry per accepted step.
         d = _random_design(rng, 80, 10)
         log = []
-        _, iterations, converged = _gram_cd(d.gram, d.corr, 0.05, 1e-9, 500, objective_log=log)
+        _, iterations, converged = _gram_pivot(d.gram, d.corr, 0.05, 1e-9, 500, objective_log=log)
         assert converged and len(log) == iterations + 1 > 2
         assert_non_increasing(log)
 
         # Two identical +-1 columns, both warm: gram[A, A] is exactly singular,
-        # so the pivot cannot start, and the fit needs fallback sweeps.
+        # so the factor rejects the second column and a span step splits the pair.
         u = np.array([1.0, -1.0] * 4)
         x = np.column_stack([u, u, rng.standard_normal(8), rng.standard_normal(8)])
         d = center_xy(x, rng.standard_normal(8))
@@ -181,9 +182,27 @@ class TestLassoFit:
         lam = 0.2 * null_threshold(d)
         warm = np.array([0.3, 0.2, 0.0, 0.0])
         log = []
-        _, iterations, converged = _gram_cd(d.gram, d.corr, lam, 1e-9, 500, warm, log)
+        _, iterations, converged = _gram_pivot(d.gram, d.corr, lam, 1e-9, 500, warm, log)
         assert converged and len(log) == iterations + 1 > 2
         assert_non_increasing(log)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(min_value=0, max_value=2**31))
+    def test_identical_columns_never_both_nonzero(self, seed):
+        # The input of the monotone test above: the span step that splits a
+        # warm duplicate pair leaves one of the two at zero, and a cold path
+        # never brings the second in.
+        rng = np.random.default_rng(seed)
+        u = np.array([1.0, -1.0] * 4)
+        x = np.column_stack([u, u, rng.standard_normal(8), rng.standard_normal(8)])
+        d = center_xy(x, rng.standard_normal(8))
+        lam, warm = 0.2 * null_threshold(d), np.array([0.3, 0.2, 0.0, 0.0])
+        beta, _, converged = _gram_pivot(d.gram, d.corr, lam, 1e-9, 500, warm)
+        assert converged
+        assert beta[0] == 0.0 or beta[1] == 0.0
+        for fit in lasso_path(d, null_threshold(d) * np.logspace(0, -4, 30)):
+            assert fit.converged
+            assert fit.beta_hat[0] == 0.0 or fit.beta_hat[1] == 0.0
 
     def test_sign_flip_takes_the_drop_step(self):
         # gram = [[2.5, 0.5], [0.5, 1]], corr = [2, 1]. From the warm signs
@@ -194,7 +213,7 @@ class TestLassoFit:
         d = center_xy(x, np.array([2.0, 0.0, 0.0, -2.0]))
         lam, warm = 1.6, np.array([0.5, -0.5])
         log = []
-        beta, iterations, converged = _gram_cd(d.gram, d.corr, lam, 1e-10, 100, warm, log)
+        beta, iterations, converged = _gram_pivot(d.gram, d.corr, lam, 1e-10, 100, warm, log)
         assert converged and iterations == 2
         assert log[2] < log[1] < log[0]
         assert beta[1] == 0.0 and beta[0] == pytest.approx(0.48, abs=1e-12)
@@ -234,7 +253,7 @@ class TestLassoFit:
         import ulasso.solver as solver
 
         d = _random_design(rng, 40, 4)
-        monkeypatch.setattr(solver, "_gram_cd", lambda *args: (np.ones(4), 1, True))
+        monkeypatch.setattr(solver, "_gram_pivot", lambda *args: (np.ones(4), 1, True))
         fit = lasso_fit(d, 0.01)
         assert fit.kkt_residual > 10 * DEFAULT_TOL
         assert not fit.converged
@@ -336,13 +355,35 @@ class TestLassoPath:
     )
     def test_near_collinear_paths_converge_by_pivoting(self, seed, n, p, near_collinear):
         # Coordinate descent alone crawls on such designs, leaving fits
-        # unconverged after 10000 sweeps; the pivot needs at most one full
-        # phase per fit.
+        # unconverged after 10000 sweeps; the pivot needs at most 2p + 2
+        # steps per fit on average.
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((n, p))
         if near_collinear:
             a, b = rng.choice(p, 2, replace=False)
             x[:, b] = x[:, a] + 1e-3 * rng.standard_normal(n)
+        d = center_xy(x, rng.standard_normal(n))
+        lams = null_threshold(d) * np.logspace(0, -4, 30)
+        fits = lasso_path(d, lams)
+        assert all(fit.converged for fit in fits)
+        assert sum(fit.n_iterations for fit in fits) <= lams.size * (2 * p + 2)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.integers(min_value=0, max_value=2**31),
+        st.integers(min_value=3, max_value=14),
+        st.integers(min_value=3, max_value=24),
+        st.floats(min_value=-8.0, max_value=-3.0),
+    )
+    def test_duplicate_and_near_pair_paths_converge(self, seed, n, p, log_noise):
+        # An exact duplicate column and a near pair, p > n included: every
+        # fit converges, and the path stays within the step bound of the
+        # well-posed designs above.
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, p))
+        a, b, c = rng.choice(p, 3, replace=False)
+        x[:, b] = x[:, a]
+        x[:, c] = x[:, rng.choice([a, b])] + 10.0 ** log_noise * rng.standard_normal(n)
         d = center_xy(x, rng.standard_normal(n))
         lams = null_threshold(d) * np.logspace(0, -4, 30)
         fits = lasso_path(d, lams)
@@ -363,6 +404,44 @@ class TestLassoPath:
         for fit in lasso_path(d, null_threshold(d) * np.logspace(0, -4, 30), tol=tol):
             assert fit.kkt_residual == kkt_residual(d, fit.beta_hat, fit.lam)
             assert not fit.converged or fit.kkt_residual <= 10.0 * tol
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"lam": np.nan}, "lam"),
+        ({"lam": np.inf}, "lam"),
+        ({"lam": -0.1}, "lam"),
+        ({"tol": np.nan}, "tol"),
+        ({"tol": np.inf}, "tol"),
+        ({"tol": 0.0}, "tol"),
+        ({"beta_init": np.zeros(3)}, "beta_init"),
+        ({"beta_init": np.array([0.0, np.nan, 0.0, 0.0])}, "beta_init"),
+    ])
+    def test_lasso_fit_rejects(self, rng, kwargs, match):
+        d = _random_design(rng, 20, 4)
+        with pytest.raises(ValueError, match=match):
+            lasso_fit(d, **{"lam": 0.1, **kwargs})
+
+    @pytest.mark.parametrize("lams", [[1.0, np.nan], [np.inf, 1.0], [1.0, 0.5, -np.inf]])
+    def test_lasso_path_rejects_nonfinite_penalties(self, rng, lams):
+        d = _random_design(rng, 20, 4)
+        with pytest.raises(ValueError, match="finite"):
+            lasso_path(d, np.array(lams))
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"lam": np.nan}, "lam"),
+        ({"lam": np.inf}, "lam"),
+        ({"beta_init": np.zeros(2)}, "beta_init"),
+        ({"beta_init": np.array([np.inf, 0.0, 0.0])}, "beta_init"),
+        ({"intercept_init": np.nan}, "intercept_init"),
+        ({"intercept_init": -np.inf}, "intercept_init"),
+    ])
+    def test_logistic_lasso_fit_rejects(self, rng, kwargs, match):
+        x = rng.standard_normal((40, 3))
+        y = (rng.random(40) < 0.5).astype(float)
+        y[:2] = (0.0, 1.0)
+        with pytest.raises(ValueError, match=match):
+            logistic_lasso_fit(x, y, **{"lam": 0.1, **kwargs})
 
 
 class TestLogisticLasso:

@@ -145,10 +145,10 @@ class TestFitUlasso:
         assert fit.kkt_residual <= 10.0 * 1e-7
 
     def test_unconverged_path_fits_never_selected(self, pop_100k, monkeypatch):
-        def one_sweep(design, lams, **kw):
+        def one_step(design, lams, **kw):
             return solver.lasso_path(design, lams, max_sweeps=1)
 
-        monkeypatch.setattr(tuning, "lasso_path", one_sweep)
+        monkeypatch.setattr(tuning, "lasso_path", one_step)
         fit, trace, _ = fit_ulasso(pop_100k, 0.02)
         assert not all(f.converged for f in trace.fits)
         assert fit.converged
