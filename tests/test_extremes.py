@@ -1,11 +1,19 @@
 """Tail thresholds, extreme-subset extraction, and misclassification estimation."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ulasso.extremes import estimate_pi_q, extract_extreme_subset, tail_thresholds
+from ulasso.extremes import (
+    _SAMPLE,
+    _candidates,
+    estimate_pi_q,
+    extract_extreme_subset,
+    tail_thresholds,
+)
 from ulasso.model import Dataset, DegenerateTailsError
 from ulasso.oracle import TheoryParams, pi_q_bound, std_normal
 
@@ -21,6 +29,21 @@ def _argsort_reference(s, k):
     lo = np.sort(np.argsort(s, kind="stable")[:k])
     hi = np.sort(np.argsort(-s, kind="stable")[:k])
     return np.concatenate([lo, hi])
+
+
+def _sampled_s(kind, seed, n):
+    """A surrogate long enough for the sampled candidate bounds."""
+    rng = np.random.default_rng(seed)
+    if kind == "continuous":
+        return rng.standard_normal(n)
+    if kind == "sorted":
+        return np.sort(rng.standard_normal(n))
+    if kind == "reverse":
+        return np.sort(rng.standard_normal(n))[::-1].copy()
+    if kind == "poisson":  # code counts, the paper's surrogate: heavy ties
+        return rng.poisson(rng.uniform(2.0, 30.0), n).astype(float)
+    # periodic, with a period that may divide the sample stride
+    return np.sin(2.0 * np.pi * np.arange(n) / rng.integers(2, 64))
 
 
 class TestTailThresholds:
@@ -48,6 +71,31 @@ class TestTailThresholds:
     def test_massive_ties_degenerate(self):
         with pytest.raises(DegenerateTailsError):
             tail_thresholds(np.zeros(10), 0.5)
+
+    @pytest.mark.parametrize(
+        "n, q, k",
+        [(10_000, 0.07, 350), (10_000, 0.035, 175), (100, 0.04, 2), (100_000, 0.02, 1000),
+         (1_000_000, 0.002, 1000), (9, 0.5, 3)],
+    )
+    def test_tail_size_is_exact_ceiling(self, n, q, k):
+        # 10_000 * 0.07 is 700.0000000000001 in floating point; k is ceil(N*q/2)
+        # for the decimal q, so it must not round up past the exact integer.
+        assert tail_thresholds(np.arange(float(n)), q)[2] == k
+
+    def test_zero_threshold_is_positive_zero(self):
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            zeros = rng.choice([-0.0, 0.0], 20)
+            zeros[:2] = (-0.0, 0.0)
+            # lower threshold: -1 (10 rows) then zeros, so the 12th smallest is a zero
+            s = rng.permutation(np.concatenate([-np.ones(10), zeros, np.ones(30)]))
+            delta_lo, delta_hi, k = tail_thresholds(s, 0.4)
+            assert (delta_lo, delta_hi, k) == (0.0, 1.0, 12)
+            assert math.copysign(1.0, delta_lo) == 1.0
+            # upper threshold: the 12th largest is a zero
+            delta_lo, delta_hi, _ = tail_thresholds(-s, 0.4)
+            assert (delta_lo, delta_hi) == (-1.0, 0.0)
+            assert math.copysign(1.0, delta_hi) == 1.0
 
     def test_oversized_tail_rejected(self):
         # odd N at q = 1 forces 2*ceil(N/2) > N
@@ -125,6 +173,37 @@ class TestExtractExtremeSubset:
         small = set(extract_extreme_subset(ds, 0.1).source_indices.tolist())
         large = set(extract_extreme_subset(ds, 0.3).source_indices.tolist())
         assert small <= large
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from(["continuous", "sorted", "reverse", "poisson", "periodic"]),
+        st.integers(min_value=0, max_value=2**31),
+        st.integers(min_value=2**15, max_value=2**17),
+        st.sampled_from([0.0005, 0.001, 0.002, 0.004, 0.01, 0.02, 0.05]),
+    )
+    def test_sampled_path_matches_full_partition(self, kind, seed, n, q):
+        s = _sampled_s(kind, seed, n)
+        delta_lo, delta_hi, k = tail_thresholds(s, q)
+        assert _candidates(s, k) is not None  # the sampled bounds were used
+        part = np.partition(s, (k - 1, n - k))
+        assert (delta_lo, delta_hi) == (part[k - 1], part[n - k])
+        sub = extract_extreme_subset(_dataset_from_s(s), q)
+        assert np.array_equal(sub.source_indices, _argsort_reference(s, k))
+
+    @pytest.mark.parametrize("flip", [1.0, -1.0])
+    def test_short_sample_bound_falls_back_to_all_rows(self, flip):
+        # The strided sample holds the smallest values (largest with flip),
+        # so its lower bound leaves fewer than k rows at or below it.
+        n, q = 100_000, 0.02
+        s = np.random.default_rng(3).standard_normal(n)
+        s[:: n // _SAMPLE] = -10.0 - np.arange(s[:: n // _SAMPLE].size)
+        s *= flip
+        delta_lo, delta_hi, k = tail_thresholds(s, q)
+        assert _candidates(s, k) is None
+        part = np.partition(s, (k - 1, n - k))
+        assert (delta_lo, delta_hi) == (part[k - 1], part[n - k])
+        sub = extract_extreme_subset(_dataset_from_s(s), q)
+        assert np.array_equal(sub.source_indices, _argsort_reference(s, k))
 
     def test_label_symmetry_exact(self, pop_100k):
         for q in (0.02, 0.1, 1.0):
