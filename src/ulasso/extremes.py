@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .model import Dataset, DegenerateTailsError, ExtremeSubset
+from .model import Dataset, DegenerateTailsError, ExtremeSubset, _require_finite
 
 __all__ = ["tail_thresholds", "extract_extreme_subset", "estimate_pi_q"]
 
@@ -42,7 +42,6 @@ def _candidates(s: np.ndarray, k: int) -> np.ndarray | None:
 
 def _tails(s: np.ndarray, q: float) -> tuple[float, float, int, np.ndarray, np.ndarray]:
     """``tail_thresholds`` plus every row at or below delta_lo and at or above delta_hi."""
-    s = np.asarray(s, dtype=float)
     if not (0.0 < q <= 1.0):
         raise ValueError("q must lie in (0, 1]")
     n = s.shape[0]
@@ -77,8 +76,11 @@ def tail_thresholds(s: np.ndarray, q: float) -> tuple[float, float, int]:
     exactly k rows. They are selected among candidate rows bounded by a
     strided sample (Floyd & Rivest 1975, *CACM* 18(3)), so for N >= 2**15
     and k < N/8 no step sorts or partitions all N values; the result equals
-    a full partition's.
+    a full partition's. Raises ``ValueError`` when s holds a NaN or an
+    infinity.
     """
+    s = np.asarray(s, dtype=float)
+    _require_finite("s", s)
     return _tails(s, q)[:3]
 
 
@@ -99,20 +101,13 @@ def extract_extreme_subset(ds: Dataset, q: float) -> ExtremeSubset:
     candidate rows that ``tail_thresholds`` selects among (Floyd & Rivest
     1975), so no further pass over all N rows is made; rows tied with a
     threshold beyond the k-th are excluded, smaller row indices winning.
+    The subset gathers its rows from ``ds`` itself.
     """
     delta_lo, delta_hi, k, lo_idx, hi_idx = _tails(ds.s, q)
     lo_idx = _first_k(ds.s, lo_idx, delta_lo, k)
     hi_idx = _first_k(ds.s, hi_idx, delta_hi, k)
     idx = np.concatenate([lo_idx, hi_idx])
-    return ExtremeSubset(
-        q=q,
-        delta_lo=delta_lo,
-        delta_hi=delta_hi,
-        x_sub=ds.x[idx],
-        s_sub=ds.s[idx],
-        source_indices=idx,
-        y_true=None if ds.y is None else ds.y[idx],
-    )
+    return ExtremeSubset(q=q, delta_lo=delta_lo, delta_hi=delta_hi, source_indices=idx, ds=ds)
 
 
 def estimate_pi_q(subset: ExtremeSubset) -> float:

@@ -1,13 +1,14 @@
 """Core domain types shared by every other module.
 
 Pure data: no algorithms live here. All types are frozen dataclasses whose
-constructors validate their invariants and freeze their array fields, so
-instances are immutable and safe to share across threads or processes.
+constructors validate their invariants, derive their dependent fields and
+freeze their array fields, so instances are immutable and safe to share
+across threads or processes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -141,40 +142,45 @@ class Dataset:
 
 @dataclass(frozen=True)
 class ExtremeSubset:
-    """The tail observations of the surrogate, with the synthetic outcome.
+    """The tail rows ``source_indices`` of a Dataset, with the synthetic outcome.
 
-    ``y_star`` is derived from the tails: rows whose surrogate falls at or
-    below ``delta_lo`` carry ``y_star = 0``, rows at or above ``delta_hi``
-    carry ``y_star = 1``. Tail counts are equal, so ``mean(y_star) == 1/2``
-    exactly.
+    ``x_sub``, ``s_sub`` and ``y_true`` are the rows ``source_indices`` of
+    ``ds.x``, ``ds.s`` and ``ds.y`` (``y_true`` is None when ``ds`` has no
+    labels), gathered at construction and frozen in place; ``ds`` itself is
+    not kept. ``y_star`` is derived from the tails: rows whose surrogate
+    falls at or below ``delta_lo`` carry ``y_star = 0``, rows at or above
+    ``delta_hi`` carry ``y_star = 1``. Tail counts are equal, so
+    ``mean(y_star) == 1/2`` exactly.
     """
 
     q: float
     delta_lo: float
     delta_hi: float
-    x_sub: np.ndarray
-    s_sub: np.ndarray
     source_indices: np.ndarray
-    y_true: np.ndarray | None = None
+    ds: InitVar[Dataset]
+    x_sub: np.ndarray = field(init=False)
+    s_sub: np.ndarray = field(init=False)
+    y_true: np.ndarray | None = field(init=False)
     y_star: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, ds: Dataset):
         if not (0.0 < self.q <= 1.0):
             raise ValueError("q must lie in (0, 1]")
         if not (self.delta_lo < self.delta_hi):
             raise DegenerateTailsError("tail thresholds must satisfy delta_lo < delta_hi")
-        x = np.asarray(self.x_sub, dtype=float)
-        s = np.asarray(self.s_sub, dtype=float)
-        idx = np.asarray(self.source_indices, dtype=np.int64)
-        n = s.shape[0]
-        if n < 2 or n % 2 != 0:
+        idx = _frozen_array(self.source_indices, dtype=np.int64)
+        n = idx.size
+        if idx.ndim != 1 or n < 2 or n % 2 != 0:
             raise ValueError("n_q must be a positive even integer")
-        if x.shape[0] != n or x.ndim != 2 or idx.shape != (n,):
-            raise ValueError("x_sub, s_sub and source_indices must agree in length")
-        _require_finite("x_sub", x)
-        _require_finite("s_sub", s)
-        lo = s <= self.delta_lo
-        hi = s >= self.delta_hi
+        if idx.min() < 0 or idx.max() >= ds.n_rows:
+            raise ValueError("source_indices must lie in [0, N)")
+        x_sub, s_sub = ds.x[idx], ds.s[idx]
+        y_true = None if ds.y is None else ds.y[idx]
+        for a in (x_sub, s_sub, y_true):
+            if a is not None:
+                a.setflags(write=False)
+        lo = s_sub <= self.delta_lo
+        hi = s_sub >= self.delta_hi
         if not np.all(lo ^ hi):
             raise ValueError("every s_sub entry must lie in exactly one tail")
         if np.count_nonzero(hi) * 2 != n:
@@ -182,15 +188,8 @@ class ExtremeSubset:
         if len(np.unique(idx)) != n:
             raise ValueError("source_indices must be distinct")
         _set_fields(self, q=float(self.q), delta_lo=float(self.delta_lo),
-                    delta_hi=float(self.delta_hi), x_sub=_frozen_array(x), s_sub=_frozen_array(s),
-                    y_star=_frozen_array(hi), source_indices=_frozen_array(idx, dtype=np.int64))
-        if self.y_true is not None:
-            ytrue = np.asarray(self.y_true, dtype=float)
-            if ytrue.shape != (n,):
-                raise ValueError("y_true must have length n_q")
-            if not np.all((ytrue == 0.0) | (ytrue == 1.0)):
-                raise ValueError("y_true entries must all be 0 or 1")
-            _set_fields(self, y_true=_frozen_array(ytrue))
+                    delta_hi=float(self.delta_hi), source_indices=idx, x_sub=x_sub,
+                    s_sub=s_sub, y_true=y_true, y_star=_frozen_array(hi))
 
     @property
     def n_q(self) -> int:

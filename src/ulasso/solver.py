@@ -2,10 +2,13 @@
 moments, plus a supervised logistic-LASSO baseline whose reweighted inner
 problems go to the same kernel.
 
+``CenteredDesign(x, y)`` centers the columns of x and the response y at
+construction, so the intercept drops out, and holds their second moments.
 Loss normalization is mean squared error, ``(1/n) * sum((y_t - x_t @ beta)**2)``,
-so the smooth-part gradient is ``-2 * T(beta)`` with ``T`` the empirical score
-below, the null-solution threshold is ``2 * ||(1/n) x_t' y_t||_inf``, and the
-single-coordinate soft-threshold level is ``lam / 2``.
+so the smooth-part gradient is ``-2 * T(beta)`` with ``T(beta) = (1/n) x_t'
+(y_t - x_t beta)`` the empirical score, the null-solution threshold is
+``2 * ||(1/n) x_t' y_t||_inf``, and the single-coordinate soft-threshold
+level is ``lam / 2``.
 
 The kernel reads only ``gram = x_t' x_t / n`` and ``corr = x_t' y_t / n``
 (Friedman, Hastie & Tibshirani 2010, section 2.2); no array of length n
@@ -18,8 +21,8 @@ active ones (duplicated covariates, or p > n) is traded in by a step that
 keeps the fitted values fixed and does not raise the penalty. Each fit is
 certified once, at return: ``lasso_fit`` reports the KKT residual and
 loss computed from the residual ``y_t - x_t @ beta`` (``kkt_residual``
-and ``objective_value`` give the same values) and flags the fit converged
-only when that KKT residual is within ``10 * tol``.
+gives the same KKT value) and flags the fit converged only when that KKT
+residual is within ``10 * tol``.
 
 The solver works on the columns as given; covariates are rescaled only at
 load time (``harness.load_csv(standardize=True)``).
@@ -27,29 +30,26 @@ load time (``harness.load_csv(standardize=True)``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 from scipy.linalg import lapack
 
-from .model import ExtremeSubset, FitResult, _owned_array
+from .model import ExtremeSubset, FitResult, _set_fields
 
 __all__ = [
     "SolverError",
     "CenteredDesign",
     "center",
-    "center_xy",
-    "gradient_t",
     "null_threshold",
     "kkt_residual",
-    "objective_value",
     "lasso_fit",
     "lasso_path",
     "logistic_lasso_fit",
 ]
 
 DEFAULT_TOL = 1e-7
-DEFAULT_MAX_SWEEPS = 10_000
+DEFAULT_MAX_STEPS = 10_000
 # A column whose squared pivot is at most this share of its second moment is
 # taken as in the span of the columns before it. Roundoff leaves a few ulps of
 # gram[j, j] in the squared pivot of a dependent column, so with no floor such
@@ -69,33 +69,33 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class CenteredDesign:
-    """Column-centered covariates and centered response, with their second moments.
+    """Covariates ``x`` and response ``y``, centered at construction, with their second moments.
 
-    ``gram = x_tilde' x_tilde / n`` and ``corr = x_tilde' y_tilde / n`` are
-    built once, at construction; the descent kernel reads only these two.
-    Array fields are read-only. Arrays passed in already read-only and
-    C-contiguous are kept as they are (``center_xy`` freezes the ones it
-    allocates); others are copied.
+    ``x_tilde = x - x.mean(axis=0)`` and ``y_tilde = y - mean(y)``, so the
+    intercept drops out; ``gram = x_tilde' x_tilde / n`` and
+    ``corr = x_tilde' y_tilde / n`` are built once, here, and the descent
+    kernel reads only these two. Every array field is read-only.
     """
 
-    x_tilde: np.ndarray
-    y_tilde: np.ndarray
+    x: InitVar[np.ndarray]
+    y: InitVar[np.ndarray]
+    x_tilde: np.ndarray = field(init=False)
+    y_tilde: np.ndarray = field(init=False)
     gram: np.ndarray = field(init=False, repr=False)
     corr: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        for name in ("x_tilde", "y_tilde"):
-            object.__setattr__(self, name, _owned_array(getattr(self, name)))
-        xt, yt = self.x_tilde, self.y_tilde
-        n = xt.shape[0]
-        scale = max(1.0, float(np.abs(xt).max()) if xt.size else 1.0)
-        if np.abs(xt.sum(axis=0)).max(initial=0.0) > 1e-9 * n * scale:
-            raise ValueError("columns of x_tilde must sum to zero")
-        if abs(yt.sum()) > 1e-9 * n * max(1.0, float(np.abs(yt).max()) if n else 1.0):
-            raise ValueError("y_tilde must sum to zero")
-        for name, a in (("gram", xt.T @ xt / n), ("corr", xt.T @ yt / n)):
+    def __post_init__(self, x: np.ndarray, y: np.ndarray):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        n = x.shape[0]
+        if n < 2:
+            raise ValueError("need at least two rows to center")
+        xt = x - x.mean(axis=0)
+        yt = y - float(y.mean())
+        arrays = {"x_tilde": xt, "y_tilde": yt, "gram": xt.T @ xt / n, "corr": xt.T @ yt / n}
+        for a in arrays.values():
             a.setflags(write=False)
-            object.__setattr__(self, name, a)
+        _set_fields(self, **arrays)
 
     @property
     def n(self) -> int:
@@ -106,39 +106,9 @@ class CenteredDesign:
         return self.x_tilde.shape[1]
 
 
-def center_xy(x: np.ndarray, y: np.ndarray) -> CenteredDesign:
-    """Remove column means of x and the mean of y; the intercept drops out."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape[0] < 2:
-        raise ValueError("need at least two rows to center")
-    x_tilde = x - x.mean(axis=0)
-    y_tilde = y - float(y.mean())
-    for a in (x_tilde, y_tilde):
-        a.setflags(write=False)
-    return CenteredDesign(x_tilde=x_tilde, y_tilde=y_tilde)
-
-
 def center(subset: ExtremeSubset) -> CenteredDesign:
     """Center the extreme subset; the centered labels are exactly +-1/2."""
-    return center_xy(subset.x_sub, subset.y_star)
-
-
-def gradient_t(design: CenteredDesign, beta: np.ndarray) -> np.ndarray:
-    """Empirical score T(beta) = (1/n) x_t' (y_t - x_t beta).
-
-    The gradient of the smooth part of the penalized objective is ``-2 * T``.
-    """
-    beta = np.asarray(beta, dtype=float)
-    r = design.y_tilde - design.x_tilde @ beta
-    return design.x_tilde.T @ r / design.n
-
-
-def objective_value(design: CenteredDesign, beta: np.ndarray, lam: float) -> float:
-    """Penalized loss (1/n)||y_t - x_t beta||^2 + lam * ||beta||_1."""
-    beta = np.asarray(beta, dtype=float)
-    r = design.y_tilde - design.x_tilde @ beta
-    return float(r @ r / r.shape[0] + lam * np.abs(beta).sum())
+    return CenteredDesign(subset.x_sub, subset.y_star)
 
 
 def null_threshold(design: CenteredDesign) -> float:
@@ -170,7 +140,8 @@ def _kkt_violation(two_t: np.ndarray, beta: np.ndarray, lam: float) -> float:
 def kkt_residual(design: CenteredDesign, beta: np.ndarray, lam: float) -> float:
     """Largest violation of the stationarity conditions at ``beta``, with score 2*T."""
     beta = np.asarray(beta, dtype=float)
-    return _kkt_violation(2.0 * gradient_t(design, beta), beta, lam)
+    r = design.y_tilde - design.x_tilde @ beta
+    return _kkt_violation(2.0 * (design.x_tilde.T @ r / design.n), beta, lam)
 
 
 def _gram_pivot(
@@ -178,7 +149,7 @@ def _gram_pivot(
     corr: np.ndarray,
     lam: float,
     tol: float,
-    max_sweeps: int,
+    max_steps: int,
     beta_init: np.ndarray | None = None,
     objective_log: list | None = None,
 ) -> tuple[np.ndarray, int, bool]:
@@ -219,7 +190,7 @@ def _gram_pivot(
     ``-b.(corr + g) + lam ||b||_1``, the penalized loss less the constant
     ``||y||^2 / n``; the start and each accepted step append theirs to
     ``objective_log``. A step that would raise it beyond roundoff, or a
-    spent budget of ``max_sweeps`` steps, returns the last point
+    spent budget of ``max_steps`` steps, returns the last point
     unconverged. Returns ``(beta, steps, converged)``; the caller certifies
     the returned fit.
     """
@@ -240,7 +211,7 @@ def _gram_pivot(
     signs = np.sign(beta[active])
     upper = span = None
     step = 0
-    for step in range(1, max_sweeps + 1):
+    for step in range(1, max_steps + 1):
         if upper is None:
             block = gram[np.ix_(active, active)]
             lower, info = lapack.dpotrf(block, lower=1)
@@ -335,21 +306,21 @@ def lasso_fit(
     design: CenteredDesign,
     lam: float,
     tol: float = DEFAULT_TOL,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
+    max_steps: int = DEFAULT_MAX_STEPS,
     beta_init: np.ndarray | None = None,
 ) -> FitResult:
     """Solve the centered L1-penalized least squares problem.
 
     The kernel reads only ``design.gram`` and ``design.corr``. The fit is
     certified once, here, from one residual ``y_t - x_t @ beta``: the
-    reported KKT residual, loss and objective equal what ``kkt_residual`` and
-    ``objective_value`` give at the returned coefficients, and the fit is
-    flagged converged only when the kernel converged and that residual-based
-    KKT is within ``10 * tol``. ``max_sweeps`` bounds the kernel's steps.
+    reported KKT residual equals what ``kkt_residual`` gives at the returned
+    coefficients, the loss is ``r.r / n``, and the fit is flagged converged
+    only when the kernel converged and that residual-based KKT is within
+    ``10 * tol``. ``max_steps`` bounds the kernel's pivot and span steps.
     """
     _check_fit_inputs(lam, tol, beta_init, design.p)
     beta, iterations, converged = _gram_pivot(
-        design.gram, design.corr, lam, tol, max_sweeps, beta_init)
+        design.gram, design.corr, lam, tol, max_steps, beta_init)
     r = design.y_tilde - design.x_tilde @ beta
     kkt = _kkt_violation(2.0 * (design.x_tilde.T @ r / design.n), beta, lam)
     return FitResult(
@@ -366,7 +337,7 @@ def lasso_path(
     design: CenteredDesign,
     lams: np.ndarray,
     tol: float = DEFAULT_TOL,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
+    max_steps: int = DEFAULT_MAX_STEPS,
 ) -> list[FitResult]:
     """Fit a strictly descending penalty grid, warm-starting from the previous solution."""
     lams = np.asarray(lams, dtype=float)
@@ -379,7 +350,7 @@ def lasso_path(
     fits = []
     beta = None
     for lam in lams:
-        fit = lasso_fit(design, float(lam), tol=tol, max_sweeps=max_sweeps, beta_init=beta)
+        fit = lasso_fit(design, float(lam), tol=tol, max_steps=max_steps, beta_init=beta)
         fits.append(fit)
         beta = fit.beta_hat
     return fits
@@ -446,7 +417,7 @@ def logistic_lasso_fit(
         zt = (z - zw_mean) * root
         beta_new, iterations, inner_ok = _gram_pivot(
             xt.T @ xt / n, xt.T @ zt / n, lam, tol=max(tol / 10.0, 1e-12),
-            max_sweeps=1000, beta_init=beta,
+            max_steps=1000, beta_init=beta,
         )
         total_iterations += iterations
         b0_new = zw_mean - float(xw_mean @ beta_new)

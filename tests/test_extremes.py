@@ -97,6 +97,16 @@ class TestTailThresholds:
             assert (delta_lo, delta_hi) == (-1.0, 0.0)
             assert math.copysign(1.0, delta_hi) == 1.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("n", [10, 100_000])
+    def test_nonfinite_surrogate_rejected(self, bad, n):
+        # n = 10 takes every row as a candidate; at n = 100_000 row 3 lies
+        # off the strided sample that bounds the candidates.
+        s = np.arange(float(n))
+        s[3] = bad
+        with pytest.raises(ValueError, match="s must be finite"):
+            tail_thresholds(s, 0.2)
+
     def test_oversized_tail_rejected(self):
         # odd N at q = 1 forces 2*ceil(N/2) > N
         with pytest.raises(ValueError, match="exceeds"):
@@ -205,6 +215,25 @@ class TestExtractExtremeSubset:
         sub = extract_extreme_subset(_dataset_from_s(s), q)
         assert np.array_equal(sub.source_indices, _argsort_reference(s, k))
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        st.integers(min_value=0, max_value=2**31),
+        st.sampled_from([40, 1000, 2**15 - 1, 2**15, 70_000]),
+        st.sampled_from([0.002, 0.02, 0.3]),
+        st.booleans(),
+    )
+    def test_rows_gathered_from_dataset(self, seed, n, q, labeled):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, 3))
+        y = (rng.random(n) < 0.5).astype(float) if labeled else None
+        ds = Dataset(x=x, s=x @ [1.0, 0.5, 0.0] + rng.standard_normal(n), y=y)
+        sub = extract_extreme_subset(ds, q)
+        assert (sub.y_true is None) == (ds.y is None)
+        pairs = [(sub.x_sub, ds.x), (sub.s_sub, ds.s)] + ([] if y is None else [(sub.y_true, ds.y)])
+        for got, full in pairs:
+            assert np.array_equal(got, full[sub.source_indices])
+            assert not got.flags.writeable
+
     def test_label_symmetry_exact(self, pop_100k):
         for q in (0.02, 0.1, 1.0):
             sub = extract_extreme_subset(pop_100k, q)
@@ -217,21 +246,15 @@ class TestEstimatePiQ:
         return extract_extreme_subset(ds, 0.4)
 
     def test_agreement_is_zero(self):
-        sub = self._subset()
-        sub = type(sub)(
-            q=sub.q, delta_lo=sub.delta_lo, delta_hi=sub.delta_hi, x_sub=sub.x_sub,
-            s_sub=sub.s_sub, source_indices=sub.source_indices,
-            y_true=sub.y_star.copy(),
-        )
+        s = np.arange(1.0, 11.0)
+        sub = extract_extreme_subset(Dataset(x=s[:, None], s=s, y=(s > 5).astype(float)), 0.4)
+        assert np.array_equal(sub.y_true, sub.y_star)
         assert estimate_pi_q(sub) == 0.0
 
     def test_disagreement_is_one(self):
-        sub = self._subset()
-        sub = type(sub)(
-            q=sub.q, delta_lo=sub.delta_lo, delta_hi=sub.delta_hi, x_sub=sub.x_sub,
-            s_sub=sub.s_sub, source_indices=sub.source_indices,
-            y_true=1.0 - sub.y_star,
-        )
+        s = np.arange(1.0, 11.0)
+        sub = extract_extreme_subset(Dataset(x=s[:, None], s=s, y=(s <= 5).astype(float)), 0.4)
+        assert np.array_equal(sub.y_true, 1.0 - sub.y_star)
         assert estimate_pi_q(sub) == 1.0
 
     def test_missing_labels_rejected(self):

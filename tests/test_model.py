@@ -114,24 +114,20 @@ class TestDataset:
         assert ds.x is not x and not ds.x.flags.writeable
 
 
-def _subset_kwargs():
-    s = np.array([1.0, 2.0, 9.0, 10.0])
-    return dict(
-        q=0.5,
-        delta_lo=2.0,
-        delta_hi=9.0,
-        x_sub=np.arange(8.0).reshape(4, 2),
-        s_sub=s,
-        source_indices=np.array([0, 1, 2, 3]),
-    )
+def _subset_kwargs(s=(1.0, 2.0, 9.0, 10.0), y=None):
+    ds = Dataset(x=np.arange(8.0).reshape(4, 2), s=np.array(s), y=y)
+    return dict(q=0.5, delta_lo=2.0, delta_hi=9.0, source_indices=np.array([0, 1, 2, 3]), ds=ds)
 
 
 class TestExtremeSubset:
     def test_valid(self):
-        sub = ExtremeSubset(**_subset_kwargs())
+        sub = ExtremeSubset(**_subset_kwargs(y=np.array([0.0, 1.0, 1.0, 1.0])))
         assert sub.n_q == 4 and sub.p == 2
         assert np.array_equal(sub.y_star, [0.0, 0.0, 1.0, 1.0])
-        assert not sub.y_star.flags.writeable
+        assert np.array_equal(sub.x_sub, np.arange(8.0).reshape(4, 2))
+        assert np.array_equal(sub.y_true, [0.0, 1.0, 1.0, 1.0])
+        for a in (sub.x_sub, sub.s_sub, sub.y_true, sub.y_star, sub.source_indices):
+            assert not a.flags.writeable
 
     def test_q_out_of_range(self):
         kwargs = _subset_kwargs()
@@ -146,22 +142,16 @@ class TestExtremeSubset:
             ExtremeSubset(**kwargs)
 
     def test_row_between_tails(self):
-        kwargs = _subset_kwargs()
-        kwargs["s_sub"] = np.array([1.0, 5.0, 9.0, 10.0])
         with pytest.raises(ValueError, match="exactly one tail"):
-            ExtremeSubset(**kwargs)
+            ExtremeSubset(**_subset_kwargs(s=(1.0, 5.0, 9.0, 10.0)))
 
     def test_unbalanced_labels(self):
-        kwargs = _subset_kwargs()
-        kwargs["s_sub"] = np.array([1.0, 9.0, 9.5, 10.0])
         with pytest.raises(ValueError, match="equal"):
-            ExtremeSubset(**kwargs)
+            ExtremeSubset(**_subset_kwargs(s=(1.0, 9.0, 9.5, 10.0)))
 
     def test_odd_size_rejected(self):
         kwargs = _subset_kwargs()
-        for key in ("s_sub", "source_indices"):
-            kwargs[key] = kwargs[key][:3]
-        kwargs["x_sub"] = kwargs["x_sub"][:3]
+        kwargs["source_indices"] = kwargs["source_indices"][:3]
         with pytest.raises(ValueError, match="even"):
             ExtremeSubset(**kwargs)
 
@@ -171,10 +161,12 @@ class TestExtremeSubset:
         with pytest.raises(ValueError, match="distinct"):
             ExtremeSubset(**kwargs)
 
-    def test_bad_y_true(self):
+    @pytest.mark.parametrize("bad", [-1, -4, 4])
+    def test_source_index_out_of_range(self, bad):
+        # -1 and -4 would wrap to rows 3 and 0 without the range check.
         kwargs = _subset_kwargs()
-        kwargs["y_true"] = np.array([0.0, 0.5, 1.0, 1.0])
-        with pytest.raises(ValueError, match="0 or 1"):
+        kwargs["source_indices"] = np.array([0, 1, 2, bad])
+        with pytest.raises(ValueError, match=r"\[0, N\)"):
             ExtremeSubset(**kwargs)
 
 

@@ -17,6 +17,7 @@ from theory_oracle import (
     linearity_coefficients,
     optimal_q,
 )
+from test_solver import gradient_t
 from ulasso.extremes import extract_extreme_subset
 from ulasso.model import DesignSpec
 from ulasso.oracle import (
@@ -33,7 +34,7 @@ from ulasso.oracle import (
     xi_quantities,
     zq_bounds,
 )
-from ulasso.solver import center_xy, gradient_t, lasso_fit, center
+from ulasso.solver import CenteredDesign, center, lasso_fit
 
 
 def _reference_spec():
@@ -384,7 +385,7 @@ class TestDeviationBound:
         sub = extract_extreme_subset(pop_500k, q)
         design_star = center(sub)
         # population target of the true-label regression, estimated at lam = 0
-        design_true = center_xy(sub.x_sub, sub.y_true)
+        design_true = CenteredDesign(sub.x_sub, sub.y_true)
         beta_bar = lasso_fit(design_true, 0.0, tol=1e-9).beta_hat
         b_q = linearity_coefficients(beta_bar, spec.beta0, spec.alpha0, spec.sigma_mat).b_v
         lam = 4.0 * float(np.abs(gradient_t(design_star, beta_bar)).max())
@@ -498,7 +499,7 @@ class TestBQSandwich:
             ds = gen_population(spec, 500_000, rng_stream(424242, "bq", rep))
             for q in qs:
                 sub = extract_extreme_subset(ds, q)
-                design_true = center_xy(sub.x_sub, sub.y_true)
+                design_true = CenteredDesign(sub.x_sub, sub.y_true)
                 beta_bar = lasso_fit(design_true, 0.0, tol=1e-9).beta_hat
                 b_hat = linearity_coefficients(
                     beta_bar, spec.beta0, spec.alpha0, spec.sigma_mat

@@ -10,27 +10,24 @@ from ulasso.extremes import extract_extreme_subset
 from ulasso.model import DesignSpec
 from ulasso.sampler import SimulationConfig, XiLaw, design_from_config, gen_population
 from ulasso.solver import (
-    DEFAULT_MAX_SWEEPS,
+    DEFAULT_MAX_STEPS,
     DEFAULT_TOL,
     CenteredDesign,
     _gram_pivot,
     _kkt_violation,
     center,
-    center_xy,
-    gradient_t,
     kkt_residual,
     lasso_fit,
     lasso_path,
     logistic_lasso_fit,
     null_threshold,
-    objective_value,
 )
 
 
 def _random_design(rng, n, p, y_scale=1.0):
     x = rng.standard_normal((n, p))
     y = rng.standard_normal(n) * y_scale
-    return center_xy(x, y)
+    return CenteredDesign(x, y)
 
 
 def _ista_reference(design, lam, iters=1_000_000, tol=1e-13):
@@ -58,10 +55,25 @@ def _ista_reference(design, lam, iters=1_000_000, tol=1e-13):
     return beta
 
 
+def gradient_t(design, beta):
+    """Empirical score T(beta) = (1/n) x_t' (y_t - x_t beta): minus half the
+    gradient of the smooth part of the penalized objective."""
+    beta = np.asarray(beta, dtype=float)
+    r = design.y_tilde - design.x_tilde @ beta
+    return design.x_tilde.T @ r / design.n
+
+
+def objective_value(design, beta, lam):
+    """Penalized loss (1/n)||y_t - x_t beta||^2 + lam * ||beta||_1."""
+    beta = np.asarray(beta, dtype=float)
+    r = design.y_tilde - design.x_tilde @ beta
+    return float(r @ r / r.shape[0] + lam * np.abs(beta).sum())
+
+
 class TestCenter:
     def test_constant_column_zeroed(self):
         x = np.column_stack([np.full(6, 3.0), np.arange(6.0)])
-        d = center_xy(x, np.arange(6.0))
+        d = CenteredDesign(x, np.arange(6.0))
         assert np.all(d.x_tilde[:, 0] == 0.0)
         assert d.gram[0, 0] == 0.0
         assert d.corr[0] == 0.0
@@ -73,24 +85,17 @@ class TestCenter:
 
     def test_columns_mean_zero_random(self, rng):
         x = rng.standard_normal((4, 2)) * 7.0 + 3.0
-        d = center_xy(x, rng.standard_normal(4))
+        d = CenteredDesign(x, rng.standard_normal(4))
         # direct summation oracle
         for j in range(2):
             assert abs(sum(d.x_tilde[:, j])) < 1e-12
         assert abs(sum(d.y_tilde)) < 1e-12
 
     def test_arrays_frozen(self, rng):
-        d = center_xy(rng.standard_normal((5, 2)), rng.standard_normal(5))
+        d = CenteredDesign(rng.standard_normal((5, 2)), rng.standard_normal(5))
         for a in (d.x_tilde, d.y_tilde, d.gram, d.corr):
             with pytest.raises(ValueError):
                 a[0] = 1.0
-
-    def test_invariant_violation_rejected(self):
-        with pytest.raises(ValueError, match="sum to zero"):
-            CenteredDesign(
-                x_tilde=np.ones((3, 1)),
-                y_tilde=np.array([-1.0, 0.0, 1.0]),
-            )
 
 
 class TestGradient:
@@ -122,7 +127,7 @@ class TestLassoFit:
         # unit second moment, unit correlation, lam = 1 -> soft(1, 1/2) = 1/2
         x = np.array([[1.0], [-1.0], [1.0], [-1.0]])
         y = np.array([1.0, -1.0, 1.0, -1.0])
-        d = center_xy(x, y)
+        d = CenteredDesign(x, y)
         fit = lasso_fit(d, 1.0)
         assert fit.beta_hat[0] == pytest.approx(0.5, abs=1e-12)
 
@@ -144,7 +149,7 @@ class TestLassoFit:
     def test_zero_variance_column_frozen(self, rng):
         x = rng.standard_normal((30, 3))
         x[:, 1] = 4.0
-        d = center_xy(x, rng.standard_normal(30))
+        d = CenteredDesign(x, rng.standard_normal(30))
         fit = lasso_fit(d, 0.01)
         assert fit.beta_hat[1] == 0.0
 
@@ -176,7 +181,7 @@ class TestLassoFit:
         # so the factor rejects the second column and a span step splits the pair.
         u = np.array([1.0, -1.0] * 4)
         x = np.column_stack([u, u, rng.standard_normal(8), rng.standard_normal(8)])
-        d = center_xy(x, rng.standard_normal(8))
+        d = CenteredDesign(x, rng.standard_normal(8))
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(d.gram[:2, :2])
         lam = 0.2 * null_threshold(d)
@@ -195,7 +200,7 @@ class TestLassoFit:
         rng = np.random.default_rng(seed)
         u = np.array([1.0, -1.0] * 4)
         x = np.column_stack([u, u, rng.standard_normal(8), rng.standard_normal(8)])
-        d = center_xy(x, rng.standard_normal(8))
+        d = CenteredDesign(x, rng.standard_normal(8))
         lam, warm = 0.2 * null_threshold(d), np.array([0.3, 0.2, 0.0, 0.0])
         beta, _, converged = _gram_pivot(d.gram, d.corr, lam, 1e-9, 500, warm)
         assert converged
@@ -210,7 +215,7 @@ class TestLassoFit:
         # second flips, so the first step stops where it crosses zero and
         # drops it, and the second step lands on the solution (0.48, 0).
         x = np.array([[2.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-2.0, -1.0]])
-        d = center_xy(x, np.array([2.0, 0.0, 0.0, -2.0]))
+        d = CenteredDesign(x, np.array([2.0, 0.0, 0.0, -2.0]))
         lam, warm = 1.6, np.array([0.5, -0.5])
         log = []
         beta, iterations, converged = _gram_pivot(d.gram, d.corr, lam, 1e-10, 100, warm, log)
@@ -237,12 +242,12 @@ class TestLassoFit:
         st.integers(min_value=2, max_value=40),
         st.integers(min_value=1, max_value=8),
         st.floats(min_value=0.0, max_value=1.0),
-        st.sampled_from([1, DEFAULT_MAX_SWEEPS]),
+        st.sampled_from([1, DEFAULT_MAX_STEPS]),
     )
-    def test_reported_certificate_is_recomputable(self, seed, n, p, lam_frac, max_sweeps):
+    def test_reported_certificate_is_recomputable(self, seed, n, p, lam_frac, max_steps):
         d = _random_design(np.random.default_rng(seed), n, p)
         lam = lam_frac * null_threshold(d)
-        fit = lasso_fit(d, lam, max_sweeps=max_sweeps)
+        fit = lasso_fit(d, lam, max_steps=max_steps)
         assert fit.kkt_residual == kkt_residual(d, fit.beta_hat, lam)
         assert fit.objective == objective_value(d, fit.beta_hat, lam)
         assert not fit.converged or fit.kkt_residual <= 10 * DEFAULT_TOL
@@ -305,9 +310,9 @@ class TestLassoPath:
     def test_negated_response_negates_path(self, seed, n, p):
         rng = np.random.default_rng(seed)
         x, y = rng.standard_normal((n, p)), rng.standard_normal(n)
-        d = center_xy(x, y)
+        d = CenteredDesign(x, y)
         lams = null_threshold(d) * np.logspace(0, -4, 30)
-        for fit, neg in zip(lasso_path(d, lams), lasso_path(center_xy(x, -y), lams)):
+        for fit, neg in zip(lasso_path(d, lams), lasso_path(CenteredDesign(x, -y), lams)):
             assert np.array_equal(neg.beta_hat, -fit.beta_hat)
             assert neg.converged == fit.converged
 
@@ -322,9 +327,9 @@ class TestLassoPath:
         n = p + extra_rows
         x, y = rng.standard_normal((n, p)), rng.standard_normal(n)
         perm = rng.permutation(n)
-        d = center_xy(x, y)
+        d = CenteredDesign(x, y)
         lams = null_threshold(d) * np.logspace(0, -4, 30)
-        for fit, moved in zip(lasso_path(d, lams), lasso_path(center_xy(x[perm], y[perm]), lams)):
+        for fit, moved in zip(lasso_path(d, lams), lasso_path(CenteredDesign(x[perm], y[perm]), lams)):
             # Summation order changes with the rows; on near-singular designs
             # the coefficients, and their rounding, grow large.
             scale = max(1.0, np.abs(fit.beta_hat).max())
@@ -362,7 +367,7 @@ class TestLassoPath:
         if near_collinear:
             a, b = rng.choice(p, 2, replace=False)
             x[:, b] = x[:, a] + 1e-3 * rng.standard_normal(n)
-        d = center_xy(x, rng.standard_normal(n))
+        d = CenteredDesign(x, rng.standard_normal(n))
         lams = null_threshold(d) * np.logspace(0, -4, 30)
         fits = lasso_path(d, lams)
         assert all(fit.converged for fit in fits)
@@ -384,7 +389,7 @@ class TestLassoPath:
         a, b, c = rng.choice(p, 3, replace=False)
         x[:, b] = x[:, a]
         x[:, c] = x[:, rng.choice([a, b])] + 10.0 ** log_noise * rng.standard_normal(n)
-        d = center_xy(x, rng.standard_normal(n))
+        d = CenteredDesign(x, rng.standard_normal(n))
         lams = null_threshold(d) * np.logspace(0, -4, 30)
         fits = lasso_path(d, lams)
         assert all(fit.converged for fit in fits)

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_solver import objective_value
 from ulasso import solver, tuning
 from ulasso.extremes import extract_extreme_subset
 from ulasso.model import Dataset, DesignSpec, FitResult
 from ulasso.sampler import gen_population, rng_stream
-from ulasso.solver import SolverError, center, center_xy, lasso_fit, lasso_path, objective_value
+from ulasso.solver import CenteredDesign, SolverError, center, lasso_fit, lasso_path
 from ulasso.tuning import (
     GridParams,
     TuningTrace,
@@ -25,7 +26,7 @@ from ulasso.tuning import (
 def _design(rng, n=200, p=6):
     x = rng.standard_normal((n, p))
     y = x[:, 0] - 0.5 * x[:, 1] + rng.standard_normal(n)
-    return center_xy(x, y)
+    return CenteredDesign(x, y)
 
 
 class TestLambdaGrid:
@@ -51,7 +52,7 @@ class TestLambdaGrid:
     def test_degenerate_design_rejected(self):
         x = np.outer(np.ones(10), [1.0, 2.0])
         y = np.arange(10.0)
-        d = center_xy(x, y)
+        d = CenteredDesign(x, y)
         with pytest.raises(SolverError, match="degenerate"):
             lambda_grid(d)
 
@@ -67,7 +68,7 @@ class TestBicScore:
         # two fits with identical loss on this design; the support-0 one
         # scores lower by log(n)/n per coordinate
         x = np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, 1.0], [-1.0, -1.0]])
-        d = center_xy(x, np.zeros(4))
+        d = CenteredDesign(x, np.zeros(4))
         b0, b1 = np.zeros(2), np.array([1.0, -1.0])
         f0 = FitResult(beta_hat=b0, lam=1.0, kkt_residual=0.0,
                        loss=objective_value(d, b0, 0.0), n_iterations=1, converged=True)
@@ -146,7 +147,7 @@ class TestFitUlasso:
 
     def test_unconverged_path_fits_never_selected(self, pop_100k, monkeypatch):
         def one_step(design, lams, **kw):
-            return solver.lasso_path(design, lams, max_sweeps=1)
+            return solver.lasso_path(design, lams, max_steps=1)
 
         monkeypatch.setattr(tuning, "lasso_path", one_step)
         fit, trace, _ = fit_ulasso(pop_100k, 0.02)
