@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 configuration error, 3 data or solver error, 4 experime
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -147,7 +146,7 @@ def _cmd_simulate(args) -> int:
     try:
         cfg = _experiment_config(args)
         out.mkdir(parents=True, exist_ok=True)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
@@ -172,7 +171,7 @@ def _cmd_simulate(args) -> int:
             "grid_ratio": cfg.grid.ratio,
         },
         "failures": result.failures,
-        "rows": [dataclasses.asdict(row) for row in result.rows],
+        "rows": result.rows,
     }
     with (out / "summary.json").open("w") as handle:
         write_json(summary, handle)

@@ -9,7 +9,7 @@ import numpy as np
 
 from .model import Dataset, DegenerateTailsError, ExtremeSubset, _require_finite
 
-__all__ = ["tail_thresholds", "extract_extreme_subset", "estimate_pi_q"]
+__all__ = ["tail_size", "tail_thresholds", "extract_extreme_subset", "estimate_pi_q"]
 
 # Strided sample size for the candidate bounds; below twice this many rows,
 # every row is a candidate.
@@ -40,6 +40,14 @@ def _candidates(s: np.ndarray, k: int) -> np.ndarray | None:
     return None
 
 
+def tail_size(n: int, q: float) -> int:
+    """Rows per tail, ceil(N*q/2) exact for q's shortest decimal; raises when 2k > N."""
+    k = math.ceil(n * Fraction(repr(float(q))) / 2)
+    if 2 * k > n:
+        raise ValueError(f"tail size 2*ceil(N*q/2) = {2 * k} exceeds N = {n} at q={q}")
+    return k
+
+
 def _tails(s: np.ndarray, q: float) -> tuple[float, float, int, np.ndarray, np.ndarray]:
     """``tail_thresholds`` plus every row at or below delta_lo and at or above delta_hi."""
     if not (0.0 < q <= 1.0):
@@ -47,9 +55,7 @@ def _tails(s: np.ndarray, q: float) -> tuple[float, float, int, np.ndarray, np.n
     n = s.shape[0]
     if n < 2:
         raise ValueError("need at least two observations")
-    k = math.ceil(n * Fraction(repr(float(q))) / 2)
-    if 2 * k > n:
-        raise ValueError(f"tail size 2*ceil(N*q/2) = {2 * k} exceeds N = {n}")
+    k = tail_size(n, q)
     rows = _candidates(s, k)
     vals = s if rows is None else s[rows]
     part = np.partition(vals, (k - 1, vals.size - k))
@@ -69,15 +75,14 @@ def _tails(s: np.ndarray, q: float) -> tuple[float, float, int, np.ndarray, np.n
 def tail_thresholds(s: np.ndarray, q: float) -> tuple[float, float, int]:
     """Empirical tail thresholds of the surrogate for tail fraction q.
 
-    Returns (delta_lo, delta_hi, k) with k = ceil(N*q/2), computed exactly
-    from q's shortest decimal: delta_lo is the k-th smallest and delta_hi the
-    k-th largest value of s, a zero threshold reported as +0.0. Order
-    statistics are used rather than interpolated quantiles so each tail holds
-    exactly k rows. They are selected among candidate rows bounded by a
-    strided sample (Floyd & Rivest 1975, *CACM* 18(3)), so for N >= 2**15
-    and k < N/8 no step sorts or partitions all N values; the result equals
-    a full partition's. Raises ``ValueError`` when s holds a NaN or an
-    infinity.
+    Returns (delta_lo, delta_hi, k) with k = ``tail_size(N, q)``: delta_lo
+    is the k-th smallest and delta_hi the k-th largest value of s, a zero
+    threshold reported as +0.0. Order statistics are used rather than
+    interpolated quantiles so each tail holds exactly k rows. They are
+    selected among candidate rows bounded by a strided sample (Floyd &
+    Rivest 1975, *CACM* 18(3)), so for N >= 2**15 and k < N/8 no step sorts
+    or partitions all N values; the result equals a full partition's.
+    Raises ``ValueError`` when s holds a NaN or an infinity.
     """
     s = np.asarray(s, dtype=float)
     _require_finite("s", s)

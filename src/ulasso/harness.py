@@ -15,12 +15,12 @@ import logging
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .extremes import estimate_pi_q
+from .extremes import estimate_pi_q, tail_size
 from .metrics import (
     auc,
     combine_directions,
@@ -38,7 +38,6 @@ __all__ = [
     "ExperimentAbortedError",
     "CsvFormatError",
     "ExperimentConfig",
-    "ResultRow",
     "ExperimentResult",
     "REPLICATION_METRICS",
     "REPLICATION_COLUMNS",
@@ -70,6 +69,10 @@ class CsvFormatError(ValueError):
     """A CSV cell or column violated the expected schema."""
 
 
+def _ulasso_label(q: float) -> str:
+    return f"ulasso_q{q:g}"
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full experimental grid for one simulation setting."""
@@ -88,6 +91,11 @@ class ExperimentConfig:
             raise ValueError("q_values must be nonempty")
         if any(not (0.0 < q <= 1.0) for q in self.q_values):
             raise ValueError("q_values must lie in (0, 1]")
+        for q in self.q_values:
+            tail_size(self.sim.n_pop, q)
+        labels = [_ulasso_label(q) for q in self.q_values]
+        if len(set(labels)) < len(labels):
+            raise ValueError(f"q_values must have distinct estimator labels: {labels}")
         if any(n < 2 or n > self.sim.n_pop for n in self.supervised_sizes):
             raise ValueError("supervised sizes must lie in [2, n_pop]")
         if self.n_replications < 1:
@@ -100,34 +108,12 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
-class ResultRow:
-    """Aggregated metrics for one estimator in one setting."""
-
-    setting: str
-    rho: float
-    q: float | None
-    p: int
-    estimator: str
-    mse: float
-    re_vs: dict = field(default_factory=dict)
-    auc: float | None = None
-    tpr: float | None = None
-    fpr: float | None = None
-    n_q: float | None = None
-    pi_q_hat: float | None = None
-
-    def __post_init__(self):
-        for name in REPLICATION_METRICS:
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite")
-        if self.auc is not None and not (0.0 <= self.auc <= 1.0):
-            raise ValueError("auc must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
 class ExperimentResult:
-    """Aggregated rows plus the per-replication log they were computed from."""
+    """Aggregated rows plus the per-replication log they were computed from.
+
+    A row is a dict: ``setting``, ``rho``, ``q``, ``p``, ``estimator``, ``re_vs`` (reference ->
+    relative efficiency) and each ``REPLICATION_METRICS`` mean, None when none was recorded.
+    """
 
     rows: list
     replications: list
@@ -186,7 +172,7 @@ def _replicate(cfg: ExperimentConfig, rep: int) -> list:
         per_q_dirs.append(direction)
         tpr, fpr = tpr_fpr(fit.support, support_true, spec.p)
         record(
-            f"ulasso_q{q:g}",
+            _ulasso_label(q),
             q=q,
             mse=mse_direction(direction, beta0_dir),
             auc=_validation_auc(direction, val),
@@ -293,9 +279,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
             for other, other_means in means.items():
                 if other != name and other_means["mse"] is not None and own:
                     re_vs[other] = relative_efficiency(other_means["mse"], own)
-        rows.append(ResultRow(setting=setting, rho=cfg.sim.rho, q=recs[0]["q"], p=cfg.sim.p,
-                              estimator=name, re_vs=re_vs, **means[name]))
-    rows.sort(key=lambda row: row.estimator)
+        rows.append({"setting": setting, "rho": cfg.sim.rho, "q": recs[0]["q"], "p": cfg.sim.p,
+                     "estimator": name, "re_vs": re_vs, **means[name]})
+    rows.sort(key=lambda row: row["estimator"])
     return ExperimentResult(rows=rows, replications=replications, failures=failures)
 
 
@@ -525,17 +511,16 @@ _TABLE_SCHEMAS = {
 def _table_records(rows: list, kind: str) -> list:
     records = []
     for row in rows:
-        base = {"setting": row.setting, "rho": row.rho, "p": row.p,
-                "q": row.q, "estimator": row.estimator}
+        base = {key: row[key] for key in ("setting", "rho", "p", "q", "estimator")}
         if kind == "re":
-            for reference in sorted(row.re_vs):
-                records.append({**base, "reference": reference, "re": row.re_vs[reference]})
+            for reference in sorted(row["re_vs"]):
+                records.append({**base, "reference": reference, "re": row["re_vs"][reference]})
         elif kind == "auc":
-            if row.auc is not None:
-                records.append({**base, "auc": row.auc})
+            if row["auc"] is not None:
+                records.append({**base, "auc": row["auc"]})
         elif kind == "selection":
-            if row.tpr is not None or row.fpr is not None:
-                records.append({**base, "tpr": row.tpr, "fpr": row.fpr})
+            if row["tpr"] is not None or row["fpr"] is not None:
+                records.append({**base, "tpr": row["tpr"], "fpr": row["fpr"]})
     return records
 
 

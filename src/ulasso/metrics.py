@@ -18,16 +18,12 @@ __all__ = [
 ]
 
 
-def normalize_direction(
-    v: np.ndarray,
-    sigma_mat: np.ndarray,
-    beta_ref: np.ndarray | None = None,
-) -> Direction:
-    """Scale to unit length and fix the sign against a reference direction.
+def normalize_direction(v: np.ndarray, sigma_mat: np.ndarray, beta_ref: np.ndarray) -> Direction:
+    """Scale to unit length and fix the sign against the reference direction.
 
-    The sign is flipped so that ``beta_ref' sigma_mat v >= 0`` when a reference
-    is given; an exact zero inner product keeps the first nonzero coordinate
-    positive. The all-zero input maps to the flagged degenerate Direction.
+    The sign is flipped so that ``beta_ref' sigma_mat v >= 0``; an exact zero
+    inner product keeps the first nonzero coordinate positive. The all-zero
+    input maps to the flagged degenerate Direction.
     """
     v = np.asarray(v, dtype=float)
     if not np.all(np.isfinite(v)):
@@ -36,8 +32,6 @@ def normalize_direction(
     if norm == 0.0:
         return Direction(v=np.zeros_like(v), degenerate=True)
     unit = v / norm
-    if beta_ref is None:
-        return Direction(v=unit)
     inner = float(np.asarray(beta_ref, dtype=float) @ np.asarray(sigma_mat, dtype=float) @ unit)
     if inner < 0.0:
         unit = -unit

@@ -96,18 +96,12 @@ def build_beta0(p: int) -> np.ndarray:
     return beta0
 
 
-def build_alpha0(
-    beta0: np.ndarray,
-    xi_law: XiLaw,
-    n_pop: int,
-    seed: int,
-    xi: np.ndarray | None = None,
-) -> np.ndarray:
+def build_alpha0(beta0: np.ndarray, xi_law: XiLaw, n_pop: int, seed: int) -> np.ndarray:
     """Surrogate index close to the outcome index: alpha0 = beta0 + xi/log(n_pop).
 
-    The offsets ``xi`` are drawn once from ``xi_law`` (deterministically in
-    ``seed``) and are meant to be reused across replications of one experiment.
-    Passing ``xi`` explicitly overrides the draw (test hook).
+    The offsets ``xi`` are drawn once from ``xi_law`` on the stream
+    ``rng_stream(seed, "xi", xi_law.value)`` and are meant to be reused
+    across replications of one experiment.
     """
     beta0 = np.asarray(beta0, dtype=float)
     if not np.all(np.isfinite(beta0)):
@@ -115,18 +109,13 @@ def build_alpha0(
     if n_pop < 3:
         raise ValueError("n_pop must be at least 3 so that log(n_pop) > 1")
     p = beta0.shape[0]
-    if xi is None:
-        rng = rng_stream(seed, "xi", xi_law.value)
-        if xi_law is XiLaw.NORMAL_3_1:
-            xi = rng.normal(loc=3.0, scale=1.0, size=p)
-        elif xi_law is XiLaw.UNIFORM_2_5:
-            xi = rng.uniform(low=2.0, high=5.0, size=p)
-        else:  # pragma: no cover - enum is exhaustive
-            raise ValueError(f"unknown xi_law {xi_law!r}")
-    else:
-        xi = np.asarray(xi, dtype=float)
-        if xi.shape != (p,):
-            raise ValueError("xi must have the same length as beta0")
+    rng = rng_stream(seed, "xi", xi_law.value)
+    if xi_law is XiLaw.NORMAL_3_1:
+        xi = rng.normal(loc=3.0, scale=1.0, size=p)
+    elif xi_law is XiLaw.UNIFORM_2_5:
+        xi = rng.uniform(low=2.0, high=5.0, size=p)
+    else:  # pragma: no cover - enum is exhaustive
+        raise ValueError(f"unknown xi_law {xi_law!r}")
     return beta0 + xi / math.log(n_pop)
 
 

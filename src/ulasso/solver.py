@@ -22,7 +22,8 @@ keeps the fitted values fixed and does not raise the penalty. Each fit is
 certified once, at return: ``lasso_fit`` reports the KKT residual and
 loss computed from the residual ``y_t - x_t @ beta`` (``kkt_residual``
 gives the same KKT value) and flags the fit converged only when that KKT
-residual is within ``10 * tol``.
+residual is within ``10 * TOL``. ``TOL`` sets only that flag, never the
+coefficients; it and ``MAX_STEPS`` are module constants read at each call.
 
 The solver works on the columns as given; covariates are rescaled only at
 load time (``harness.load_csv(standardize=True)``).
@@ -48,8 +49,8 @@ __all__ = [
     "logistic_lasso_fit",
 ]
 
-DEFAULT_TOL = 1e-7
-DEFAULT_MAX_STEPS = 10_000
+TOL = 1e-7
+MAX_STEPS = 10_000
 # A column whose squared pivot is at most this share of its second moment is
 # taken as in the span of the columns before it. Roundoff leaves a few ulps of
 # gram[j, j] in the squared pivot of a dependent column, so with no floor such
@@ -291,11 +292,9 @@ def _gram_pivot(
     return beta, step, False
 
 
-def _check_fit_inputs(lam: float, tol: float, beta_init: np.ndarray | None, p: int) -> None:
+def _check_fit_inputs(lam: float, beta_init: np.ndarray | None, p: int) -> None:
     if not (np.isfinite(lam) and lam >= 0.0):
         raise ValueError("lam must be nonnegative and finite")
-    if not (np.isfinite(tol) and tol > 0.0):
-        raise ValueError("tol must be positive and finite")
     if beta_init is not None:
         beta_init = np.asarray(beta_init, dtype=float)
         if beta_init.shape != (p,) or not np.all(np.isfinite(beta_init)):
@@ -305,8 +304,6 @@ def _check_fit_inputs(lam: float, tol: float, beta_init: np.ndarray | None, p: i
 def lasso_fit(
     design: CenteredDesign,
     lam: float,
-    tol: float = DEFAULT_TOL,
-    max_steps: int = DEFAULT_MAX_STEPS,
     beta_init: np.ndarray | None = None,
 ) -> FitResult:
     """Solve the centered L1-penalized least squares problem.
@@ -316,11 +313,11 @@ def lasso_fit(
     reported KKT residual equals what ``kkt_residual`` gives at the returned
     coefficients, the loss is ``r.r / n``, and the fit is flagged converged
     only when the kernel converged and that residual-based KKT is within
-    ``10 * tol``. ``max_steps`` bounds the kernel's pivot and span steps.
+    ``10 * TOL``. ``MAX_STEPS`` bounds the kernel's pivot and span steps.
     """
-    _check_fit_inputs(lam, tol, beta_init, design.p)
+    _check_fit_inputs(lam, beta_init, design.p)
     beta, iterations, converged = _gram_pivot(
-        design.gram, design.corr, lam, tol, max_steps, beta_init)
+        design.gram, design.corr, lam, TOL, MAX_STEPS, beta_init)
     r = design.y_tilde - design.x_tilde @ beta
     kkt = _kkt_violation(2.0 * (design.x_tilde.T @ r / design.n), beta, lam)
     return FitResult(
@@ -329,17 +326,13 @@ def lasso_fit(
         kkt_residual=kkt,
         loss=float(r @ r / design.n),
         n_iterations=iterations,
-        converged=converged and kkt <= 10.0 * tol,
+        converged=converged and kkt <= 10.0 * TOL,
     )
 
 
-def lasso_path(
-    design: CenteredDesign,
-    lams: np.ndarray,
-    tol: float = DEFAULT_TOL,
-    max_steps: int = DEFAULT_MAX_STEPS,
-) -> list[FitResult]:
-    """Fit a strictly descending penalty grid, warm-starting from the previous solution."""
+def lasso_path(design: CenteredDesign, lams: np.ndarray) -> list[FitResult]:
+    """Fit a strictly descending penalty grid, warm-starting from the previous
+    solution; each fit is a ``lasso_fit``, certified against ``10 * TOL``."""
     lams = np.asarray(lams, dtype=float)
     if lams.ndim != 1 or lams.size == 0:
         raise ValueError("lams must be a nonempty vector")
@@ -350,7 +343,7 @@ def lasso_path(
     fits = []
     beta = None
     for lam in lams:
-        fit = lasso_fit(design, float(lam), tol=tol, max_steps=max_steps, beta_init=beta)
+        fit = lasso_fit(design, float(lam), beta_init=beta)
         fits.append(fit)
         beta = fit.beta_hat
     return fits
@@ -374,7 +367,6 @@ def logistic_lasso_fit(
     x: np.ndarray,
     y: np.ndarray,
     lam: float,
-    tol: float = DEFAULT_TOL,
     beta_init: np.ndarray | None = None,
     intercept_init: float | None = None,
 ) -> tuple[FitResult, float]:
@@ -382,14 +374,15 @@ def logistic_lasso_fit(
 
     Minimizes (1/n)*NLL + lam*||beta||_1 by iteratively reweighted quadratic
     approximation; after weighted centering, each inner problem's second
-    moments go to the same covariance-form kernel as ``lasso_fit``. Returns
-    (fit, intercept). A fit whose coefficients blow past a fixed cap
+    moments go to the same covariance-form kernel as ``lasso_fit``. It stops,
+    converged, at an outer step within ``TOL`` whose inner fit converged.
+    Returns (fit, intercept). A fit whose coefficients blow past a fixed cap
     (separation) is flagged not converged.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n, p = x.shape
-    _check_fit_inputs(lam, tol, beta_init, p)
+    _check_fit_inputs(lam, beta_init, p)
     if intercept_init is not None and not np.isfinite(intercept_init):
         raise ValueError("intercept_init must be finite")
     classes = np.unique(y)
@@ -416,7 +409,7 @@ def logistic_lasso_fit(
         xt = (x - xw_mean) * root[:, None]
         zt = (z - zw_mean) * root
         beta_new, iterations, inner_ok = _gram_pivot(
-            xt.T @ xt / n, xt.T @ zt / n, lam, tol=max(tol / 10.0, 1e-12),
+            xt.T @ xt / n, xt.T @ zt / n, lam, tol=max(TOL / 10.0, 1e-12),
             max_steps=1000, beta_init=beta,
         )
         total_iterations += iterations
@@ -426,7 +419,7 @@ def logistic_lasso_fit(
         if np.max(np.abs(beta), initial=0.0) > _LOGISTIC_BETA_CAP:
             converged = False
             break
-        if step <= tol and inner_ok:
+        if step <= TOL and inner_ok:
             converged = True
             break
     eta = b0 + x @ beta

@@ -115,6 +115,24 @@ class TestSimulate:
                      "--reps", "1", "--out", str(tmp_path / "x")])
         assert code == 2
 
+    @pytest.mark.parametrize("loaded", [{"q_values": 0.02}, {"p": None}, 5])
+    def test_malformed_config_value_is_config_error(self, tmp_path, capsys, loaded):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(loaded))
+        code = main(["simulate", "--config", str(cfg), "--seed", "1",
+                     "--reps", "1", "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not (tmp_path / "x").exists()
+
+    def test_tail_larger_than_population_is_config_error(self, tmp_path, capsys):
+        code = main(["simulate", "--seed", "1", "--reps", "1", "--out", str(tmp_path / "x"),
+                     "--p", "9", "--n-pop", "3001", "--q", "1.0"])
+        assert code == 2
+        assert "config error: tail size 2*ceil(N*q/2) = 3002 exceeds N = 3001" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "x").exists()
+
     def test_invalid_q_is_config_error(self, tmp_path):
         code = main(["simulate", "--seed", "1", "--reps", "1",
                      "--out", str(tmp_path / "x"), "--q", "1.5",

@@ -2,7 +2,6 @@
 
 import csv
 import json
-import math
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from ulasso.harness import (
     CsvFormatError,
     ExperimentAbortedError,
     ExperimentConfig,
-    ResultRow,
     emit_tables,
     fit_real,
     load_csv,
@@ -48,13 +46,27 @@ class TestExperimentConfig:
                              n_replications=1, validation_size=4000)
 
 
+    @pytest.mark.parametrize("q_values", [(0.1234561, 0.1234564), (0.1, 0.1)])
+    def test_q_values_sharing_a_label_rejected(self, q_values):
+        sim = SimulationConfig(p=9, rho=0.0, xi_law=XiLaw.NORMAL_3_1, n_pop=4000, seed=1)
+        with pytest.raises(ValueError, match="distinct estimator labels"):
+            ExperimentConfig(sim=sim, q_values=q_values, supervised_sizes=(300,),
+                             n_replications=1, validation_size=4000)
+
+    def test_tail_larger_than_population_rejected(self):
+        sim = SimulationConfig(p=9, rho=0.0, xi_law=XiLaw.NORMAL_3_1, n_pop=3001, seed=1)
+        with pytest.raises(ValueError, match="exceeds N = 3001"):
+            ExperimentConfig(sim=sim, q_values=(0.5, 1.0), supervised_sizes=(300,),
+                             n_replications=1, validation_size=4000)
+
+
 class TestRunExperiment:
     def test_deterministic_across_calls(self):
         cfg = _tiny_config()
         a = run_experiment(cfg)
         b = run_experiment(cfg)
         assert a.replications == b.replications
-        assert [r.estimator for r in a.rows] == [r.estimator for r in b.rows]
+        assert [r["estimator"] for r in a.rows] == [r["estimator"] for r in b.rows]
         for ra, rb in zip(a.rows, b.rows):
             assert ra == rb
 
@@ -74,10 +86,10 @@ class TestRunExperiment:
         cfg = _tiny_config(seed=17, reps=4)
         result = run_experiment(cfg)
         for row in result.rows:
-            recs = [r for r in result.replications if r["estimator"] == row.estimator]
+            recs = [r for r in result.replications if r["estimator"] == row["estimator"]]
             for name in ("mse", "auc", "tpr", "fpr", "n_q", "pi_q_hat"):
                 values = [r[name] for r in recs if r[name] is not None]
-                agg = getattr(row, name)
+                agg = row[name]
                 if not values:
                     assert agg is None
                 else:
@@ -85,13 +97,13 @@ class TestRunExperiment:
 
     def test_expected_estimators_present(self):
         result = run_experiment(_tiny_config())
-        names = {row.estimator for row in result.rows}
+        names = {row["estimator"] for row in result.rows}
         assert names == {
             "ulasso_q0.1", "ulasso_combined", "slasso_n300",
             "alpha0_benchmark", "beta0_oracle",
         }
-        ulasso_row = next(r for r in result.rows if r.estimator == "ulasso_q0.1")
-        assert set(ulasso_row.re_vs) == names - {"ulasso_q0.1"}
+        ulasso_row = next(r for r in result.rows if r["estimator"] == "ulasso_q0.1")
+        assert set(ulasso_row["re_vs"]) == names - {"ulasso_q0.1"}
 
     def test_abort_on_failures(self, monkeypatch):
         import ulasso.harness as harness
@@ -112,16 +124,6 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "_replicate", buggy)
         with pytest.raises(TypeError, match="bug"):
             run_experiment(_tiny_config())
-
-
-class TestResultRow:
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError, match="finite"):
-            ResultRow(setting="I", rho=0.0, q=0.1, p=5, estimator="x", mse=math.nan)
-
-    def test_rejects_bad_auc(self):
-        with pytest.raises(ValueError, match="auc"):
-            ResultRow(setting="I", rho=0.0, q=0.1, p=5, estimator="x", mse=0.1, auc=1.2)
 
 
 class TestCsvRoundTrip:
@@ -354,11 +356,12 @@ class TestFitReal:
 class TestEmitTables:
     def _rows(self):
         return [
-            ResultRow(setting="I", rho=0.0, q=0.1, p=5, estimator="ulasso_q0.1",
-                      mse=0.1, re_vs={"slasso_n300": 2.0}, auc=0.9, tpr=1.0, fpr=0.0,
-                      n_q=400.0, pi_q_hat=0.01),
-            ResultRow(setting="I", rho=0.0, q=None, p=5, estimator="slasso_n300",
-                      mse=0.2, auc=0.88, tpr=0.9, fpr=0.1),
+            {"setting": "I", "rho": 0.0, "q": 0.1, "p": 5, "estimator": "ulasso_q0.1",
+             "mse": 0.1, "re_vs": {"slasso_n300": 2.0}, "auc": 0.9, "tpr": 1.0, "fpr": 0.0,
+             "n_q": 400.0, "pi_q_hat": 0.01},
+            {"setting": "I", "rho": 0.0, "q": None, "p": 5, "estimator": "slasso_n300",
+             "mse": 0.2, "re_vs": {}, "auc": 0.88, "tpr": 0.9, "fpr": 0.1,
+             "n_q": None, "pi_q_hat": None},
         ]
 
     def test_empty_rows_rejected(self, tmp_path):

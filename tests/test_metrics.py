@@ -53,10 +53,6 @@ class TestNormalizeDirection:
         d = normalize_direction(np.zeros(3), np.eye(3), np.ones(3))
         assert d.degenerate
 
-    def test_no_reference_keeps_sign(self):
-        d = normalize_direction(np.array([-2.0, 0.0]), np.eye(2))
-        assert np.allclose(d.v, [-1.0, 0.0])
-
     @settings(max_examples=100, deadline=None)
     @given(
         st.lists(st.floats(min_value=-100.0, max_value=100.0), min_size=2, max_size=6),

@@ -302,7 +302,7 @@ class TestAlphaBarPopulation:
     def test_matches_unpenalized_tail_fit(self, spec_i_p20_500k, pop_500k):
         q = 0.04
         sub = extract_extreme_subset(pop_500k, q)
-        fit = lasso_fit(center(sub), 0.0, tol=1e-9)
+        fit = lasso_fit(center(sub), 0.0)
         abar = alpha_bar_population(TheoryParams(spec_i_p20_500k), q)
         rel = np.abs(fit.beta_hat - abar).max() / np.abs(abar).max()
         assert rel <= 0.05
@@ -386,7 +386,7 @@ class TestDeviationBound:
         design_star = center(sub)
         # population target of the true-label regression, estimated at lam = 0
         design_true = CenteredDesign(sub.x_sub, sub.y_true)
-        beta_bar = lasso_fit(design_true, 0.0, tol=1e-9).beta_hat
+        beta_bar = lasso_fit(design_true, 0.0).beta_hat
         b_q = linearity_coefficients(beta_bar, spec.beta0, spec.alpha0, spec.sigma_mat).b_v
         lam = 4.0 * float(np.abs(gradient_t(design_star, beta_bar)).max())
         fit = lasso_fit(design_star, lam)
@@ -500,7 +500,7 @@ class TestBQSandwich:
             for q in qs:
                 sub = extract_extreme_subset(ds, q)
                 design_true = CenteredDesign(sub.x_sub, sub.y_true)
-                beta_bar = lasso_fit(design_true, 0.0, tol=1e-9).beta_hat
+                beta_bar = lasso_fit(design_true, 0.0).beta_hat
                 b_hat = linearity_coefficients(
                     beta_bar, spec.beta0, spec.alpha0, spec.sigma_mat
                 ).b_v

@@ -55,16 +55,16 @@ class TestBuildBeta0:
 
 
 class TestBuildAlpha0:
-    def test_zero_xi_hook(self):
-        beta0 = build_beta0(6)
-        alpha0 = build_alpha0(beta0, XiLaw.NORMAL_3_1, 1000, 0, xi=np.zeros(6))
-        assert np.array_equal(alpha0, beta0)
-
     def test_exact_log_scaling(self):
         n_pop = round(math.e**10)
-        alpha0 = build_alpha0(np.array([1.0, 0.0]), XiLaw.NORMAL_3_1, n_pop, 0,
-                              xi=np.array([3.0, 3.0]))
-        assert np.allclose(alpha0, [1.3, 0.3], atol=2e-4)  # log(n_pop) ~ 10 after rounding
+        beta0 = np.array([1.0, 0.0])
+        for law, draw in ((XiLaw.NORMAL_3_1, lambda g: g.normal(3.0, 1.0, size=2)),
+                          (XiLaw.UNIFORM_2_5, lambda g: g.uniform(2.0, 5.0, size=2))):
+            xi = draw(rng_stream(5, "xi", law.value))
+            alpha0 = build_alpha0(beta0, law, n_pop, 5)
+            assert np.array_equal(alpha0, beta0 + xi / math.log(n_pop))
+            # log(n_pop) ~ 10 after rounding
+            assert np.allclose(alpha0, beta0 + xi / 10.0, atol=1e-4)
 
     def test_uniform_support_interval(self):
         beta0 = build_beta0(20)

@@ -10,8 +10,8 @@ from ulasso.extremes import extract_extreme_subset
 from ulasso.model import DesignSpec
 from ulasso.sampler import SimulationConfig, XiLaw, design_from_config, gen_population
 from ulasso.solver import (
-    DEFAULT_MAX_STEPS,
-    DEFAULT_TOL,
+    MAX_STEPS,
+    TOL,
     CenteredDesign,
     _gram_pivot,
     _kkt_violation,
@@ -133,7 +133,7 @@ class TestLassoFit:
 
     def test_lam_zero_matches_ols(self, rng):
         d = _random_design(rng, 60, 8)
-        fit = lasso_fit(d, 0.0, tol=1e-10)
+        fit = lasso_fit(d, 0.0)
         beta_ols = np.linalg.lstsq(d.x_tilde, d.y_tilde, rcond=None)[0]
         assert np.abs(fit.beta_hat - beta_ols).max() <= 1e-6
 
@@ -160,7 +160,7 @@ class TestLassoFit:
             p = int(rng.integers(2, 15))
             d = _random_design(rng, n, p)
             lam = float(rng.uniform(0.0, 0.5))
-            fit = lasso_fit(d, lam, tol=tol)
+            fit = lasso_fit(d, lam)
             assert fit.converged
             assert fit.kkt_residual <= 10.0 * tol
             assert np.abs(gradient_t(d, fit.beta_hat)).max() <= lam / 2.0 + 10.0 * tol
@@ -222,8 +222,8 @@ class TestLassoFit:
         assert converged and iterations == 2
         assert log[2] < log[1] < log[0]
         assert beta[1] == 0.0 and beta[0] == pytest.approx(0.48, abs=1e-12)
-        fit = lasso_fit(d, lam, tol=1e-10, beta_init=warm)
-        assert fit.converged and fit.n_iterations == 2
+        fit = lasso_fit(d, lam, beta_init=warm)
+        assert fit.converged and fit.n_iterations == 2 and fit.kkt_residual <= 10 * 1e-10
         assert np.abs(fit.beta_hat - _ista_reference(d, lam)).max() <= 1e-5
 
     def test_matches_proximal_gradient_reference(self, rng):
@@ -232,7 +232,7 @@ class TestLassoFit:
             p = int(rng.integers(1, 4))
             d = _random_design(rng, n, p)
             lam = float(rng.uniform(0.0, 1.0))
-            fit = lasso_fit(d, lam, tol=1e-10)
+            fit = lasso_fit(d, lam)
             ref = _ista_reference(d, lam)
             assert np.abs(fit.beta_hat - ref).max() <= 1e-5
 
@@ -242,15 +242,19 @@ class TestLassoFit:
         st.integers(min_value=2, max_value=40),
         st.integers(min_value=1, max_value=8),
         st.floats(min_value=0.0, max_value=1.0),
-        st.sampled_from([1, DEFAULT_MAX_STEPS]),
+        st.sampled_from([1, MAX_STEPS]),
     )
     def test_reported_certificate_is_recomputable(self, seed, n, p, lam_frac, max_steps):
+        import ulasso.solver as solver
+
         d = _random_design(np.random.default_rng(seed), n, p)
         lam = lam_frac * null_threshold(d)
-        fit = lasso_fit(d, lam, max_steps=max_steps)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "MAX_STEPS", max_steps)
+            fit = lasso_fit(d, lam)
         assert fit.kkt_residual == kkt_residual(d, fit.beta_hat, lam)
         assert fit.objective == objective_value(d, fit.beta_hat, lam)
-        assert not fit.converged or fit.kkt_residual <= 10 * DEFAULT_TOL
+        assert not fit.converged or fit.kkt_residual <= 10 * TOL
 
     def test_kernel_claim_needs_residual_certificate(self, rng, monkeypatch):
         # A kernel that calls a non-stationary point converged is overruled
@@ -260,11 +264,33 @@ class TestLassoFit:
         d = _random_design(rng, 40, 4)
         monkeypatch.setattr(solver, "_gram_pivot", lambda *args: (np.ones(4), 1, True))
         fit = lasso_fit(d, 0.01)
-        assert fit.kkt_residual > 10 * DEFAULT_TOL
+        assert fit.kkt_residual > 10 * TOL
         assert not fit.converged
 
 
 class TestLassoPath:
+    def test_fit_does_not_depend_on_tol(self, rng, monkeypatch):
+        # TOL sets only the converged flag of a squared-loss fit; the pivot
+        # steps, and so the coefficients and certificate, do not depend on it.
+        import ulasso.solver as solver
+
+        for _ in range(40):
+            n = int(rng.integers(3, 40))
+            p = int(rng.integers(1, 2 * n))  # p > n in about half the designs
+            x = rng.standard_normal((n, p))
+            if p > 2:
+                x[:, -1] = x[:, 0]  # an exact duplicate column
+            d = CenteredDesign(x, rng.standard_normal(n))
+            lams = null_threshold(d) * np.logspace(0, -4, 20)
+            paths = []
+            for tol in (1e-7, 1e-13):
+                monkeypatch.setattr(solver, "TOL", tol)
+                paths.append(lasso_path(d, lams))
+            for a, b in zip(*paths):
+                assert np.array_equal(a.beta_hat, b.beta_hat)
+                assert (a.n_iterations, a.kkt_residual, a.loss) == (
+                    b.n_iterations, b.kkt_residual, b.loss)
+
     def test_first_point_of_grid_is_null(self, rng):
         d = _random_design(rng, 40, 5)
         lam_max = 2.0 * np.abs(d.x_tilde.T @ d.y_tilde / 40).max()
@@ -276,9 +302,9 @@ class TestLassoPath:
         lam_max = 2.0 * np.abs(d.x_tilde.T @ d.y_tilde / 200).max()
         lams = lam_max * np.logspace(0, -3, 30)
         tol = 1e-8
-        warm = lasso_path(d, lams, tol=tol)
+        warm = lasso_path(d, lams)
         for lam, fit in zip(lams, warm):
-            cold = lasso_fit(d, float(lam), tol=tol)
+            cold = lasso_fit(d, float(lam))
             assert np.abs(fit.beta_hat - cold.beta_hat).max() <= 10.0 * tol
 
     def test_exact_finish_certifies_to_roundoff(self, rng):
@@ -297,7 +323,7 @@ class TestLassoPath:
         d = _random_design(rng, 150, 12)
         lam_max = 2.0 * np.abs(d.x_tilde.T @ d.y_tilde / 150).max()
         lams = lam_max * np.logspace(0, -4, 50)
-        fits = lasso_path(d, lams, tol=tol)
+        fits = lasso_path(d, lams)
         norms = np.array([np.abs(f.beta_hat).sum() for f in fits])
         assert np.all(np.diff(norms) >= -10.0 * tol)
 
@@ -405,10 +431,9 @@ class TestLassoPath:
         # p > n: gram[A, A] can be singular and the dense end is not unique.
         rng = np.random.default_rng(seed)
         d = _random_design(rng, n, n + extra_cols)
-        tol = 1e-7
-        for fit in lasso_path(d, null_threshold(d) * np.logspace(0, -4, 30), tol=tol):
+        for fit in lasso_path(d, null_threshold(d) * np.logspace(0, -4, 30)):
             assert fit.kkt_residual == kkt_residual(d, fit.beta_hat, fit.lam)
-            assert not fit.converged or fit.kkt_residual <= 10.0 * tol
+            assert not fit.converged or fit.kkt_residual <= 10.0 * TOL
 
 
 class TestInputChecks:
@@ -416,9 +441,9 @@ class TestInputChecks:
         ({"lam": np.nan}, "lam"),
         ({"lam": np.inf}, "lam"),
         ({"lam": -0.1}, "lam"),
-        ({"tol": np.nan}, "tol"),
-        ({"tol": np.inf}, "tol"),
-        ({"tol": 0.0}, "tol"),
+        ({"lam": -np.inf}, "lam"),
+        ({"beta_init": np.zeros((4, 1))}, "beta_init"),
+        ({"beta_init": np.array([0.0, 0.0, 0.0, -np.inf])}, "beta_init"),
         ({"beta_init": np.zeros(3)}, "beta_init"),
         ({"beta_init": np.array([0.0, np.nan, 0.0, 0.0])}, "beta_init"),
     ])
@@ -458,7 +483,7 @@ class TestLogisticLasso:
         p_bar = y.mean()
         assert b0 == pytest.approx(np.log(p_bar / (1 - p_bar)), abs=1e-8)
 
-    def test_matches_newton_oracle_unpenalized(self, rng):
+    def test_matches_newton_oracle_unpenalized(self, rng, monkeypatch):
         n, p = 500, 2
         x = rng.standard_normal((n, p))
         truth = np.array([1.0, -0.5])
@@ -474,7 +499,10 @@ class TestLogisticLasso:
             w = w + step
             if np.abs(step).max() < 1e-12:
                 break
-        fit, b0 = logistic_lasso_fit(x, y, 0.0, tol=1e-9)
+        import ulasso.solver as solver
+
+        monkeypatch.setattr(solver, "TOL", 1e-9)
+        fit, b0 = logistic_lasso_fit(x, y, 0.0)
         assert abs(b0 - w[0]) <= 1e-4
         assert np.abs(fit.beta_hat - w[1:]).max() <= 1e-4
 
@@ -502,7 +530,7 @@ def test_unpenalized_tail_fit_aligns_with_surrogate_index():
     spec = design_from_config(sim)
     ds = gen_population(spec, sim.n_pop, 77)
     sub = extract_extreme_subset(ds, 0.02)
-    fit = lasso_fit(center(sub), 0.0, tol=1e-9)
+    fit = lasso_fit(center(sub), 0.0)
     cos = fit.beta_hat @ spec.alpha0 / (
         np.linalg.norm(fit.beta_hat) * np.linalg.norm(spec.alpha0)
     )

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_solver import objective_value
-from ulasso import solver, tuning
+from ulasso import solver
 from ulasso.extremes import extract_extreme_subset
 from ulasso.model import Dataset, DesignSpec, FitResult
 from ulasso.sampler import gen_population, rng_stream
@@ -146,10 +146,7 @@ class TestFitUlasso:
         assert fit.kkt_residual <= 10.0 * 1e-7
 
     def test_unconverged_path_fits_never_selected(self, pop_100k, monkeypatch):
-        def one_step(design, lams, **kw):
-            return solver.lasso_path(design, lams, max_steps=1)
-
-        monkeypatch.setattr(tuning, "lasso_path", one_step)
+        monkeypatch.setattr(solver, "MAX_STEPS", 1)
         fit, trace, _ = fit_ulasso(pop_100k, 0.02)
         assert not all(f.converged for f in trace.fits)
         assert fit.converged
