@@ -11,7 +11,7 @@ from .model import (
     FitResult,
 )
 from .sampler import SimulationConfig, XiLaw
-from .tuning import GridParams, TuningTrace, fit_ulasso
+from .tuning import TuningTrace, fit_ulasso
 
 __all__ = [
     "Dataset",
@@ -22,7 +22,6 @@ __all__ = [
     "FitResult",
     "SimulationConfig",
     "XiLaw",
-    "GridParams",
     "TuningTrace",
     "fit_ulasso",
 ]

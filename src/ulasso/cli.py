@@ -16,6 +16,7 @@ import os
 import sys
 from pathlib import Path
 
+from . import tuning
 from .harness import (
     REPLICATION_COLUMNS,
     CsvFormatError,
@@ -31,7 +32,6 @@ from .harness import (
 from .model import DegenerateTailsError
 from .sampler import SimulationConfig, XiLaw, design_from_config
 from .solver import SolverError
-from .tuning import GridParams
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -52,12 +52,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", type=Path, required=True, help="output directory (mandatory)")
     sim.add_argument("--p", type=int, default=None)
     sim.add_argument("--rho", type=float, default=None)
-    sim.add_argument("--xi-law", choices=["normal", "uniform"], default=None)
+    sim.add_argument("--xi-law", choices=list(_XI_LAWS), default=None)
     sim.add_argument("--n-pop", type=int, default=None)
-    sim.add_argument("--q", type=float, action="append", default=None,
+    sim.add_argument("--q", type=float, action="append", default=None, dest="q_values",
                      help="tail fraction, repeatable")
     sim.add_argument("--supervised-size", type=int, action="append", default=None,
-                     help="labeled subsample size, repeatable")
+                     dest="supervised_sizes", help="labeled subsample size, repeatable")
     sim.add_argument("--validation-size", type=int, default=None)
     sim.add_argument("--workers", type=int, default=1)
     sim.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -76,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     orc = sub.add_parser("oracle", help="print the theory report for a design")
     orc.add_argument("--p", type=int, required=True)
     orc.add_argument("--rho", type=float, default=_CONFIG_DEFAULTS["rho"])
-    orc.add_argument("--xi-law", choices=["normal", "uniform"], default=_CONFIG_DEFAULTS["xi_law"])
+    orc.add_argument("--xi-law", choices=list(_XI_LAWS), default=_CONFIG_DEFAULTS["xi_law"])
     orc.add_argument("--n-pop", type=int, default=_CONFIG_DEFAULTS["n_pop"])
     orc.add_argument("--seed", type=int, required=True)
     orc.add_argument("--sigma", type=float, default=1.0,
@@ -86,14 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _xi_law(name: str) -> XiLaw:
-    if name == "normal":
-        return XiLaw.NORMAL_3_1
-    if name == "uniform":
-        return XiLaw.UNIFORM_2_5
-    raise ValueError(f"unknown xi_law {name!r}: expected 'normal' or 'uniform'")
-
-
+_XI_LAWS = {"normal": XiLaw.NORMAL_3_1, "uniform": XiLaw.UNIFORM_2_5}
 _CONFIG_DEFAULTS = {
     "p": 20,
     "rho": 0.0,
@@ -102,13 +95,23 @@ _CONFIG_DEFAULTS = {
     "q_values": [0.02],
     "supervised_sizes": [500],
     "validation_size": 100_000,
-    "grid_points": GridParams().n_points,
-    "grid_ratio": GridParams().ratio,
 }
 
-# simulate flag (argparse dest) -> the config key it overrides
-_FLAG_KEYS = {"p": "p", "rho": "rho", "xi_law": "xi_law", "n_pop": "n_pop", "q": "q_values",
-              "supervised_size": "supervised_sizes", "validation_size": "validation_size"}
+
+def _checked_value(key: str, value):
+    """``value`` if it has the JSON type of the key's default, else ``ValueError``;
+    a float key reads an int as a float."""
+    default = _CONFIG_DEFAULTS[key]
+    many = isinstance(default, list)
+    kind = type(default[0] if many else default)
+    items = value if many and isinstance(value, list) else [value]
+    allowed = (int, float) if kind is float else kind
+    if many is not isinstance(value, list) or any(
+            isinstance(v, bool) or not isinstance(v, allowed) for v in items):
+        raise ValueError(f"config key {key!r} must be {'a list of ' * many}{kind.__name__}, "
+                         f"got {value!r}")
+    items = [float(v) for v in items] if kind is float else items
+    return items if many else items[0]
 
 
 def _experiment_config(args) -> ExperimentConfig:
@@ -121,14 +124,16 @@ def _experiment_config(args) -> ExperimentConfig:
         unknown = set(loaded) - set(values)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        values.update(loaded)
-    values.update({key: getattr(args, flag) for flag, key in _FLAG_KEYS.items()
-                   if getattr(args, flag) is not None})
+        values.update({key: _checked_value(key, value) for key, value in loaded.items()})
+    # each simulate flag's argparse dest is the config key it overrides
+    values.update({key: getattr(args, key) for key in values if getattr(args, key) is not None})
+    if values["xi_law"] not in _XI_LAWS:
+        raise ValueError(f"unknown xi_law {values['xi_law']!r}: expected 'normal' or 'uniform'")
     sim = SimulationConfig(
-        p=int(values["p"]),
-        rho=float(values["rho"]),
-        xi_law=_xi_law(values["xi_law"]),
-        n_pop=int(values["n_pop"]),
+        p=values["p"],
+        rho=values["rho"],
+        xi_law=_XI_LAWS[values["xi_law"]],
+        n_pop=values["n_pop"],
         seed=args.seed,
     )
     return ExperimentConfig(
@@ -136,8 +141,7 @@ def _experiment_config(args) -> ExperimentConfig:
         q_values=tuple(values["q_values"]),
         supervised_sizes=tuple(values["supervised_sizes"]),
         n_replications=args.reps,
-        validation_size=int(values["validation_size"]),
-        grid=GridParams(n_points=int(values["grid_points"]), ratio=float(values["grid_ratio"])),
+        validation_size=values["validation_size"],
     )
 
 
@@ -167,8 +171,8 @@ def _cmd_simulate(args) -> int:
             "n_replications": cfg.n_replications,
             "validation_size": cfg.validation_size,
             "seed": cfg.sim.seed,
-            "grid_points": cfg.grid.n_points,
-            "grid_ratio": cfg.grid.ratio,
+            "grid_points": tuning.GRID_POINTS,
+            "grid_ratio": tuning.GRID_RATIO,
         },
         "failures": result.failures,
         "rows": result.rows,
@@ -220,7 +224,7 @@ def _cmd_oracle(args) -> int:
         sim = SimulationConfig(
             p=args.p,
             rho=args.rho,
-            xi_law=_xi_law(args.xi_law),
+            xi_law=_XI_LAWS[args.xi_law],
             n_pop=args.n_pop,
             seed=args.seed,
         )

@@ -4,7 +4,8 @@ Replications run in isolated RNG streams derived from (seed, replication
 index), so results are bit-identical at any worker count. Aggregates are
 computed from the per-replication log alone, never from streaming state.
 The supervised baseline picks its penalty with the tail fit's rule,
-``tuning.select_bic``, on its own ``GridParams`` grid.
+``tuning.select_bic``, on its own ``tuning.log_grid`` of 50 penalties down
+to 1e-3 * lam_max.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .metrics import (
 from .model import Dataset, DegenerateTailsError, Direction
 from .sampler import SimulationConfig, build_beta0, design_from_config, gen_population, rng_stream
 from .solver import SolverError, logistic_lasso_fit
-from .tuning import GridParams, fit_ulasso, select_bic
+from .tuning import fit_ulasso, log_grid, select_bic
 
 __all__ = [
     "ExperimentAbortedError",
@@ -53,7 +54,8 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _FAILURE_ABORT_FRACTION = 0.10
-_SLASSO_GRID = GridParams(n_points=50, ratio=1e-3)
+_SLASSO_GRID_POINTS = 50
+_SLASSO_GRID_RATIO = 1e-3
 
 # Per-replication metrics, in the column order of replications.csv; every
 # estimator's aggregate row holds the mean of each.
@@ -82,10 +84,12 @@ class ExperimentConfig:
     supervised_sizes: tuple
     n_replications: int
     validation_size: int
-    grid: GridParams = GridParams()
 
     def __post_init__(self):
         object.__setattr__(self, "q_values", tuple(float(q) for q in self.q_values))
+        if any(n != int(n) or n < 2 or n > self.sim.n_pop for n in self.supervised_sizes):
+            raise ValueError("supervised sizes must be integers in [2, n_pop]: "
+                             f"{list(self.supervised_sizes)}")
         object.__setattr__(self, "supervised_sizes", tuple(int(n) for n in self.supervised_sizes))
         if not self.q_values:
             raise ValueError("q_values must be nonempty")
@@ -96,8 +100,6 @@ class ExperimentConfig:
         labels = [_ulasso_label(q) for q in self.q_values]
         if len(set(labels)) < len(labels):
             raise ValueError(f"q_values must have distinct estimator labels: {labels}")
-        if any(n < 2 or n > self.sim.n_pop for n in self.supervised_sizes):
-            raise ValueError("supervised sizes must lie in [2, n_pop]")
         if self.n_replications < 1:
             raise ValueError("n_replications must be positive")
         if self.validation_size < 2:
@@ -132,7 +134,7 @@ def _logistic_bic_path(x: np.ndarray, y: np.ndarray):
     if lam_max <= 0.0:
         raise SolverError("degenerate supervised design: zero score at the null model")
     fits, intercepts, b0 = [], [], None
-    for lam in _SLASSO_GRID.lambdas(lam_max):
+    for lam in log_grid(lam_max, _SLASSO_GRID_POINTS, _SLASSO_GRID_RATIO):
         beta = fits[-1].beta_hat if fits else None
         fit, b0 = logistic_lasso_fit(x, y, float(lam), beta_init=beta, intercept_init=b0)
         fits.append(fit)
@@ -142,7 +144,9 @@ def _logistic_bic_path(x: np.ndarray, y: np.ndarray):
     return fits[best], intercepts[best]
 
 
-def _validation_auc(direction: Direction, val: Dataset) -> float | None:
+def _validation_auc(direction: Direction, val: Dataset | None) -> float | None:
+    if val is None:  # a one-class validation draw, already logged
+        return None
     if direction.degenerate:
         logger.warning("degenerate direction excluded from AUC")
         return None
@@ -154,6 +158,9 @@ def _replicate(cfg: ExperimentConfig, rep: int) -> list:
     spec = design_from_config(cfg.sim)
     pop = gen_population(spec, cfg.sim.n_pop, rng_stream(cfg.sim.seed, "rep", rep, "population"))
     val = gen_population(spec, cfg.validation_size, rng_stream(cfg.sim.seed, "rep", rep, "validation"))
+    if np.all(val.y == val.y[0]):
+        logger.warning("replication %d: one-class validation draw, every AUC left out", rep)
+        val = None
     beta0_dir = normalize_direction(spec.beta0, spec.sigma_mat, spec.beta0)
     support_true = set(np.nonzero(spec.beta0)[0])
     records = []
@@ -167,7 +174,7 @@ def _replicate(cfg: ExperimentConfig, rep: int) -> list:
 
     per_q_dirs = []
     for q in cfg.q_values:
-        fit, _, subset = fit_ulasso(pop, q, grid_params=cfg.grid)
+        fit, _, subset = fit_ulasso(pop, q)
         direction = normalize_direction(fit.beta_hat, spec.sigma_mat, spec.beta0)
         per_q_dirs.append(direction)
         tpr, fpr = tpr_fpr(fit.support, support_true, spec.p)

@@ -23,14 +23,14 @@ def normalize_direction(v: np.ndarray, sigma_mat: np.ndarray, beta_ref: np.ndarr
 
     The sign is flipped so that ``beta_ref' sigma_mat v >= 0``; an exact zero
     inner product keeps the first nonzero coordinate positive. The all-zero
-    input maps to the flagged degenerate Direction.
+    input maps to the degenerate Direction.
     """
     v = np.asarray(v, dtype=float)
     if not np.all(np.isfinite(v)):
         raise ValueError("v must be finite")
     norm = np.linalg.norm(v)
     if norm == 0.0:
-        return Direction(v=np.zeros_like(v), degenerate=True)
+        return Direction(v=np.zeros_like(v))
     unit = v / norm
     inner = float(np.asarray(beta_ref, dtype=float) @ np.asarray(sigma_mat, dtype=float) @ unit)
     if inner < 0.0:
@@ -107,5 +107,5 @@ def combine_directions(dirs: list[Direction]) -> Direction:
     mean = np.mean([d.v for d in usable], axis=0) if usable else np.zeros_like(dirs[0].v)
     norm = np.linalg.norm(mean)
     if norm == 0.0:
-        return Direction(v=np.zeros_like(mean), degenerate=True)
+        return Direction(v=np.zeros_like(mean))
     return Direction(v=mean / norm)

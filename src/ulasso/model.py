@@ -236,18 +236,16 @@ class FitResult:
 
 @dataclass(frozen=True)
 class Direction:
-    """A unit vector, or the explicit degenerate all-zero estimate."""
+    """A unit vector, or the all-zero estimate, which is ``degenerate`` (derived
+    at construction)."""
 
     v: np.ndarray
-    degenerate: bool = False
+    degenerate: bool = field(init=False)
 
     def __post_init__(self):
         v = np.asarray(self.v, dtype=float)
         _require_finite("v", v)
-        if self.degenerate:
-            if np.any(v != 0.0):
-                raise ValueError("a degenerate Direction must carry the zero vector")
-        else:
-            if abs(np.linalg.norm(v) - 1.0) > _UNIT_TOL:
-                raise ValueError("v must be a unit vector within 1e-12")
-        _set_fields(self, v=_frozen_array(v))
+        degenerate = not np.any(v != 0.0)
+        if not degenerate and abs(np.linalg.norm(v) - 1.0) > _UNIT_TOL:
+            raise ValueError("v must be a unit vector within 1e-12, or zero")
+        _set_fields(self, v=_frozen_array(v), degenerate=degenerate)

@@ -17,25 +17,17 @@ from .solver import (
     null_threshold,
 )
 
-__all__ = ["GridParams", "TuningTrace", "select_bic", "lambda_grid", "bic_score", "fit_ulasso"]
+__all__ = ["TuningTrace", "select_bic", "log_grid", "lambda_grid", "bic_score", "fit_ulasso"]
+
+# The tail fit's penalty grid: glmnet's default of 100 log-spaced points
+# down to 1e-4 * lam_max (Friedman, Hastie & Tibshirani 2010).
+GRID_POINTS = 100
+GRID_RATIO = 1e-4
 
 
-@dataclass(frozen=True)
-class GridParams:
-    """Penalty grid shape: log-spaced points from the null threshold downward."""
-
-    n_points: int = 100
-    ratio: float = 1e-4
-
-    def __post_init__(self):
-        if self.n_points < 2:
-            raise ValueError("n_points must be at least 2")
-        if not (0.0 < self.ratio < 1.0):
-            raise ValueError("ratio must lie in (0, 1)")
-
-    def lambdas(self, lam_max: float) -> np.ndarray:
-        """The descending grid from lam_max down to ratio * lam_max."""
-        return lam_max * np.logspace(0.0, math.log10(self.ratio), num=self.n_points)
+def log_grid(lam_max: float, n_points: int, ratio: float) -> np.ndarray:
+    """``n_points`` log-spaced penalties descending from lam_max to ratio * lam_max."""
+    return lam_max * np.logspace(0.0, math.log10(ratio), num=n_points)
 
 
 def select_bic(scores: np.ndarray, fits: list) -> int:
@@ -70,8 +62,9 @@ class TuningTrace:
         _set_fields(self, selected_index=select_bic(vals, self.fits))
 
 
-def lambda_grid(design: CenteredDesign, grid: GridParams = GridParams()) -> np.ndarray:
-    """Log-spaced descending grid from lam_max = 2*||(1/n) x_t' y_t||_inf down to ratio*lam_max.
+def lambda_grid(design: CenteredDesign) -> np.ndarray:
+    """The tail fit's grid: ``GRID_POINTS`` log-spaced penalties from
+    lam_max = 2*||(1/n) x_t' y_t||_inf down to ``GRID_RATIO * lam_max``.
 
     lam_max is the exact threshold at which the all-zero vector solves the
     penalized problem under the mean-squared-error normalization. Raises
@@ -80,7 +73,7 @@ def lambda_grid(design: CenteredDesign, grid: GridParams = GridParams()) -> np.n
     lam_max = null_threshold(design)
     if lam_max <= 0.0:
         raise SolverError("degenerate design: all covariate-response correlations are zero")
-    return grid.lambdas(lam_max)
+    return log_grid(lam_max, GRID_POINTS, GRID_RATIO)
 
 
 def bic_score(fit: FitResult, n_q: int) -> float:
@@ -88,9 +81,7 @@ def bic_score(fit: FitResult, n_q: int) -> float:
     return fit.loss + math.log(n_q) / n_q * len(fit.support)
 
 
-def fit_ulasso(
-    ds: Dataset, q: float, grid_params: GridParams = GridParams()
-) -> tuple[FitResult, TuningTrace, ExtremeSubset]:
+def fit_ulasso(ds: Dataset, q: float) -> tuple[FitResult, TuningTrace, ExtremeSubset]:
     """Extract the extreme subset, fit the penalty path, and pick the BIC minimizer.
 
     ``select_bic`` picks among the converged fits, ties going to the sparser
@@ -100,7 +91,7 @@ def fit_ulasso(
     """
     subset = extract_extreme_subset(ds, q)
     design = center(subset)
-    lams = lambda_grid(design, grid_params)
+    lams = lambda_grid(design)
     fits = lasso_path(design, lams)
     scores = np.array([bic_score(fit, subset.n_q) for fit in fits])
     trace = TuningTrace(lambdas=lams, bic_values=scores, fits=fits)

@@ -74,16 +74,27 @@ class TestSimulate:
     def test_summary_echoes_penalty_grid(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
-            "p": 9, "n_pop": 3000, "q_values": [0.2], "supervised_sizes": [200],
-            "validation_size": 2000, "grid_points": 50,
+            "p": 9, "rho": 0, "n_pop": 3000, "q_values": [0.2], "supervised_sizes": [200],
+            "validation_size": 2000,
         }))
         out = tmp_path / "run"
         code = main(["simulate", "--config", str(cfg), "--seed", "4", "--reps", "1",
                      "--out", str(out)])
         assert code == 0
         config = json.loads((out / "summary.json").read_text())["config"]
-        assert config["grid_points"] == 50
+        assert config["grid_points"] == 100
         assert config["grid_ratio"] == 1e-4
+        assert config["rho"] == 0.0 and isinstance(config["rho"], float)
+
+    @pytest.mark.parametrize("key", ["grid_points", "grid_ratio"])
+    def test_penalty_grid_config_key_is_config_error(self, tmp_path, capsys, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 50 if key == "grid_points" else 1e-3}))
+        code = main(["simulate", "--config", str(cfg), "--seed", "1",
+                     "--reps", "1", "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert f"config error: unknown config keys: [{key!r}]" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_json_tables_match_csv_tables(self, tmp_path):
         import csv
@@ -115,7 +126,12 @@ class TestSimulate:
                      "--reps", "1", "--out", str(tmp_path / "x")])
         assert code == 2
 
-    @pytest.mark.parametrize("loaded", [{"q_values": 0.02}, {"p": None}, 5])
+    @pytest.mark.parametrize("loaded", [
+        {"q_values": 0.02}, {"p": None}, 5,
+        {"p": 9.9}, {"n_pop": 3000.7}, {"validation_size": 1000.5}, {"rho": "0.5"},
+        {"supervised_sizes": [100.9]}, {"p": True}, {"q_values": "0.1"},
+        {"q_values": [True]}, {"rho": False},
+    ])
     def test_malformed_config_value_is_config_error(self, tmp_path, capsys, loaded):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(loaded))
@@ -124,6 +140,32 @@ class TestSimulate:
         assert code == 2
         assert capsys.readouterr().err.startswith("config error: ")
         assert not (tmp_path / "x").exists()
+
+    def test_config_type_error_names_key_and_value(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"q_values": "0.1"}))
+        code = main(["simulate", "--config", str(cfg), "--seed", "1",
+                     "--reps", "1", "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert ("config error: config key 'q_values' must be a list of float, got '0.1'"
+                in capsys.readouterr().err)
+
+    def test_one_class_validation_draw_leaves_auc_out(self, tmp_path):
+        import csv
+
+        out = tmp_path / "run"
+        proc = _run(["simulate", "--seed", "2", "--reps", "1", "--p", "9", "--n-pop", "3000",
+                     "--validation-size", "2", "--supervised-size", "100", "--q", "0.1",
+                     "--out", str(out)])
+        assert proc.returncode == 0, proc.stderr
+        assert "one-class validation draw" in proc.stderr
+        with (out / "replications.csv").open() as fh:
+            records = list(csv.DictReader(fh))
+        assert len(records) == 5 and all(r["auc"] == "" for r in records)
+        assert all(r["mse"] != "" for r in records)
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["failures"] == []
+        assert all(row["auc"] is None for row in summary["rows"])
 
     def test_tail_larger_than_population_is_config_error(self, tmp_path, capsys):
         code = main(["simulate", "--seed", "1", "--reps", "1", "--out", str(tmp_path / "x"),

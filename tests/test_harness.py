@@ -22,7 +22,6 @@ from ulasso.harness import _parse_rows
 from ulasso.model import Dataset
 from ulasso.sampler import SimulationConfig, XiLaw, design_from_config, gen_population
 from ulasso.solver import SolverError
-from ulasso.tuning import GridParams
 
 
 def _tiny_config(seed=11, reps=3):
@@ -33,7 +32,6 @@ def _tiny_config(seed=11, reps=3):
         supervised_sizes=(300,),
         n_replications=reps,
         validation_size=4000,
-        grid=GridParams(n_points=40, ratio=1e-3),
     )
 
 
@@ -45,6 +43,13 @@ class TestExperimentConfig:
             ExperimentConfig(sim=sim, q_values=(0.1,), supervised_sizes=(300,),
                              n_replications=1, validation_size=4000)
 
+
+    @pytest.mark.parametrize("sizes", [(300.5,), (100.9, 200)])
+    def test_non_integral_supervised_size_rejected(self, sizes):
+        sim = SimulationConfig(p=9, rho=0.0, xi_law=XiLaw.NORMAL_3_1, n_pop=4000, seed=1)
+        with pytest.raises(ValueError, match="supervised sizes must be integers"):
+            ExperimentConfig(sim=sim, q_values=(0.1,), supervised_sizes=sizes,
+                             n_replications=1, validation_size=4000)
 
     @pytest.mark.parametrize("q_values", [(0.1234561, 0.1234564), (0.1, 0.1)])
     def test_q_values_sharing_a_label_rejected(self, q_values):

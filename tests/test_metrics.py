@@ -86,7 +86,7 @@ class TestMseDirection:
         assert mse_direction(d, m) == 2.0
 
     def test_degenerate_contributes_one(self):
-        zero = Direction(v=np.zeros(2), degenerate=True)
+        zero = Direction(v=np.zeros(2))
         truth = Direction(v=np.array([0.6, 0.8]))
         assert mse_direction(zero, truth) == pytest.approx(1.0)
 
@@ -222,7 +222,7 @@ class TestCombineDirections:
     def test_degenerate_inputs_skipped(self):
         a = Direction(v=np.array([0.6, 0.8]))
         b = Direction(v=np.array([1.0, 0.0]))
-        zero = Direction(v=np.zeros(2), degenerate=True)
+        zero = Direction(v=np.zeros(2))
         mixed = combine_directions([zero, a, zero, b])
         alone = combine_directions([a, b])
         assert np.array_equal(mixed.v, alone.v)

@@ -198,16 +198,12 @@ class TestFitResult:
 class TestDirection:
     def test_unit_ok(self):
         d = Direction(v=np.array([0.6, 0.8]))
-        assert not d.degenerate
+        assert d.degenerate is False
 
     def test_non_unit_rejected(self):
         with pytest.raises(ValueError, match="unit"):
             Direction(v=np.array([0.6, 0.9]))
 
     def test_degenerate_zero_allowed(self):
-        d = Direction(v=np.zeros(3), degenerate=True)
-        assert d.degenerate and np.all(d.v == 0.0)
-
-    def test_degenerate_must_be_zero(self):
-        with pytest.raises(ValueError, match="zero"):
-            Direction(v=np.array([0.6, 0.8]), degenerate=True)
+        d = Direction(v=np.zeros(3))
+        assert d.degenerate is True and np.all(d.v == 0.0)

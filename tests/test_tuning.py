@@ -8,17 +8,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_solver import objective_value
-from ulasso import solver
+from ulasso import solver, tuning
 from ulasso.extremes import extract_extreme_subset
 from ulasso.model import Dataset, DesignSpec, FitResult
 from ulasso.sampler import gen_population, rng_stream
-from ulasso.solver import CenteredDesign, SolverError, center, lasso_fit, lasso_path
+from ulasso.solver import (
+    CenteredDesign,
+    SolverError,
+    center,
+    lasso_fit,
+    lasso_path,
+    null_threshold,
+)
 from ulasso.tuning import (
-    GridParams,
     TuningTrace,
     bic_score,
     fit_ulasso,
     lambda_grid,
+    log_grid,
     select_bic,
 )
 
@@ -32,9 +39,10 @@ def _design(rng, n=200, p=6):
 class TestLambdaGrid:
     def test_two_point_grid(self, rng):
         d = _design(rng)
-        grid = lambda_grid(d, GridParams(n_points=2, ratio=0.5))
         lam_max = 2.0 * np.abs(d.x_tilde.T @ d.y_tilde / d.n).max()
+        grid = log_grid(lam_max, 2, 0.5)
         assert np.allclose(grid, [lam_max, lam_max / 2.0])
+        assert lambda_grid(d)[0] == pytest.approx(lam_max)
 
     def test_top_of_grid_yields_null_fit(self, rng):
         d = _design(rng)
@@ -79,14 +87,17 @@ class TestBicScore:
             bic_score(f1, n_q)
         )
 
-    def test_minimizer_matches_exhaustive_grid_scoring(self, pop_100k):
+    def test_minimizer_matches_exhaustive_grid_scoring(self, pop_100k, monkeypatch):
+        monkeypatch.setattr(tuning, "GRID_POINTS", 40)
+        monkeypatch.setattr(tuning, "GRID_RATIO", 1e-3)
         sub = extract_extreme_subset(pop_100k, 0.02)
         d = center(sub)
-        lams = lambda_grid(d, GridParams(n_points=40, ratio=1e-3))
+        lams = lambda_grid(d)
+        assert lams.size == 40 and lams[-1] == pytest.approx(lams[0] * 1e-3)
         fits = lasso_path(d, lams)
         scores = [bic_score(f, sub.n_q) for f in fits]
         brute_best = min(range(len(scores)), key=lambda i: (scores[i], i))
-        _, trace, _ = fit_ulasso(pop_100k, 0.02, grid_params=GridParams(n_points=40, ratio=1e-3))
+        _, trace, _ = fit_ulasso(pop_100k, 0.02)
         assert trace.selected_index == brute_best
 
 
@@ -140,6 +151,11 @@ class TestFitUlasso:
                                for f in trace.fits])
         assert np.array_equal(recomputed, trace.bic_values)
 
+    def test_trace_holds_the_default_grid(self, pop_100k):
+        _, trace, sub = fit_ulasso(pop_100k, 0.02)
+        expected = log_grid(null_threshold(center(sub)), 100, 1e-4)
+        assert np.array_equal(trace.lambdas, expected)
+
     def test_selected_fit_certificate(self, pop_100k):
         fit, _, sub = fit_ulasso(pop_100k, 0.02)
         assert fit.converged
@@ -170,10 +186,13 @@ class TestFitUlasso:
         cos_beta = abs(beta @ beta0) / (np.linalg.norm(beta) * np.linalg.norm(beta0))
         assert cos_alpha >= cos_beta
 
-    def test_grid_permutation_invariance(self, pop_100k):
-        # the same GridParams, fitted twice, gives the same selection and fit
-        fit_a, trace_a, _ = fit_ulasso(pop_100k, 0.02, grid_params=GridParams(n_points=25, ratio=1e-3))
-        fit_b, trace_b, _ = fit_ulasso(pop_100k, 0.02, grid_params=GridParams(n_points=25, ratio=1e-3))
+    def test_grid_permutation_invariance(self, pop_100k, monkeypatch):
+        # the same grid, fitted twice, gives the same selection and fit
+        monkeypatch.setattr(tuning, "GRID_POINTS", 25)
+        monkeypatch.setattr(tuning, "GRID_RATIO", 1e-3)
+        fit_a, trace_a, _ = fit_ulasso(pop_100k, 0.02)
+        fit_b, trace_b, _ = fit_ulasso(pop_100k, 0.02)
+        assert trace_a.lambdas.size == 25
         assert trace_a.selected_index == trace_b.selected_index
         assert np.array_equal(fit_a.beta_hat, fit_b.beta_hat)
 
