@@ -30,7 +30,7 @@ from .metrics import (
     relative_efficiency,
     tpr_fpr,
 )
-from .model import Dataset, DegenerateTailsError, Direction
+from .model import Dataset, DegenerateTailsError
 from .sampler import SimulationConfig, build_beta0, design_from_config, gen_population, rng_stream
 from .solver import SolverError, logistic_lasso_fit
 from .tuning import fit_ulasso, log_grid, select_bic
@@ -127,34 +127,27 @@ def _logistic_bic_path(x: np.ndarray, y: np.ndarray):
 
     The score is the deviance per observation plus log(n)/n per selected
     coordinate; ``select_bic`` picks among the converged fits, ties going to
-    the larger penalty. Returns ``(fit, intercept)``.
+    the larger penalty. Returns the selected fit.
     """
     n = x.shape[0]
     lam_max = float(np.abs((x - x.mean(axis=0)).T @ (y - y.mean())).max()) / n
     if lam_max <= 0.0:
         raise SolverError("degenerate supervised design: zero score at the null model")
-    fits, intercepts, b0 = [], [], None
+    fits, b0 = [], None
     for lam in log_grid(lam_max, _SLASSO_GRID_POINTS, _SLASSO_GRID_RATIO):
         beta = fits[-1].beta_hat if fits else None
         fit, b0 = logistic_lasso_fit(x, y, float(lam), beta_init=beta, intercept_init=b0)
         fits.append(fit)
-        intercepts.append(b0)
     scores = [2.0 * f.loss + math.log(n) / n * len(f.support) for f in fits]
-    best = select_bic(scores, fits)
-    return fits[best], intercepts[best]
-
-
-def _validation_auc(direction: Direction, val: Dataset | None) -> float | None:
-    if val is None:  # a one-class validation draw, already logged
-        return None
-    if direction.degenerate:
-        logger.warning("degenerate direction excluded from AUC")
-        return None
-    return auc(val.x @ direction.v, val.y)
+    return fits[select_bic(scores, fits)]
 
 
 def _replicate(cfg: ExperimentConfig, rep: int) -> list:
-    """Run one replication; returns flat metric records."""
+    """Run one replication; returns one record per estimator, keyed by ``REPLICATION_COLUMNS``.
+
+    ``record`` scores every estimator alike: the MSE of its normalized direction
+    against beta0's, its validation AUC and, given a support, its TPR/FPR.
+    """
     spec = design_from_config(cfg.sim)
     pop = gen_population(spec, cfg.sim.n_pop, rng_stream(cfg.sim.seed, "rep", rep, "population"))
     val = gen_population(spec, cfg.validation_size, rng_stream(cfg.sim.seed, "rep", rep, "validation"))
@@ -165,72 +158,44 @@ def _replicate(cfg: ExperimentConfig, rep: int) -> list:
     support_true = set(np.nonzero(spec.beta0)[0])
     records = []
 
-    def record(estimator, q=None, **metrics):
-        unknown = metrics.keys() - set(REPLICATION_METRICS)
-        if unknown:
-            raise TypeError(f"unknown replication metrics: {sorted(unknown)}")
-        records.append({"rep": rep, "estimator": estimator, "q": q,
-                        **{name: metrics.get(name) for name in REPLICATION_METRICS}})
+    def record(estimator, direction, support, **tail):
+        rec = dict.fromkeys(REPLICATION_COLUMNS)
+        rec.update(rep=rep, estimator=estimator, mse=mse_direction(direction, beta0_dir), **tail)
+        if support is not None:
+            rec["tpr"], rec["fpr"] = tpr_fpr(support, support_true, spec.p)
+        if val is not None and direction.degenerate:
+            logger.warning("replication %d: degenerate %s direction left out of AUC", rep, estimator)
+        elif val is not None:
+            rec["auc"] = auc(val.x @ direction.v, val.y)
+        records.append(rec)
 
     per_q_dirs = []
     for q in cfg.q_values:
         fit, _, subset = fit_ulasso(pop, q)
         direction = normalize_direction(fit.beta_hat, spec.sigma_mat, spec.beta0)
         per_q_dirs.append(direction)
-        tpr, fpr = tpr_fpr(fit.support, support_true, spec.p)
-        record(
-            _ulasso_label(q),
-            q=q,
-            mse=mse_direction(direction, beta0_dir),
-            auc=_validation_auc(direction, val),
-            tpr=tpr,
-            fpr=fpr,
-            n_q=subset.n_q,
-            pi_q_hat=estimate_pi_q(subset),
-        )
-
-    combined = combine_directions(per_q_dirs)
-    record(
-        "ulasso_combined",
-        mse=mse_direction(combined, beta0_dir),
-        auc=_validation_auc(combined, val),
-    )
+        record(_ulasso_label(q), direction, fit.support,
+               q=q, n_q=subset.n_q, pi_q_hat=estimate_pi_q(subset))
+    record("ulasso_combined", combine_directions(per_q_dirs), None)
 
     for n_lab in cfg.supervised_sizes:
         idx = rng_stream(cfg.sim.seed, "rep", rep, "labels", n_lab).choice(
             cfg.sim.n_pop, size=n_lab, replace=False
         )
-        fit, _ = _logistic_bic_path(pop.x[idx], pop.y[idx])
-        direction = normalize_direction(fit.beta_hat, spec.sigma_mat, spec.beta0)
-        tpr, fpr = tpr_fpr(fit.support, support_true, spec.p)
-        record(
-            f"slasso_n{n_lab}",
-            mse=mse_direction(direction, beta0_dir),
-            auc=_validation_auc(direction, val),
-            tpr=tpr,
-            fpr=fpr,
-        )
+        fit = _logistic_bic_path(pop.x[idx], pop.y[idx])
+        record(f"slasso_n{n_lab}", normalize_direction(fit.beta_hat, spec.sigma_mat, spec.beta0),
+               fit.support)
 
-    alpha_dir = normalize_direction(spec.alpha0, spec.sigma_mat, spec.beta0)
-    record(
-        "alpha0_benchmark",
-        mse=mse_direction(alpha_dir, beta0_dir),
-        auc=_validation_auc(alpha_dir, val),
-    )
-    record(
-        "beta0_oracle",
-        mse=0.0,
-        auc=_validation_auc(beta0_dir, val),
-    )
+    record("alpha0_benchmark", normalize_direction(spec.alpha0, spec.sigma_mat, spec.beta0), None)
+    record("beta0_oracle", beta0_dir, None)
     return records
 
 
-def _replication_worker(args):
-    cfg, rep = args
+def _replication_worker(cfg: ExperimentConfig, rep: int):
     try:
-        return rep, _replicate(cfg, rep), None
+        return _replicate(cfg, rep), None
     except (SolverError, DegenerateTailsError) as exc:
-        return rep, None, repr(exc)
+        return None, repr(exc)
 
 
 def _mean_or_none(values: list) -> float | None:
@@ -248,17 +213,15 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    jobs = [(cfg, rep) for rep in range(cfg.n_replications)]
+    reps = range(cfg.n_replications)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_replication_worker, jobs))
+            outcomes = list(pool.map(_replication_worker, [cfg] * len(reps), reps))
     else:
-        outcomes = [_replication_worker(job) for job in jobs]
-    outcomes.sort(key=lambda item: item[0])
+        outcomes = [_replication_worker(cfg, rep) for rep in reps]
 
-    replications = []
-    failures = []
-    for rep, records, error in outcomes:
+    replications, failures = [], []
+    for rep, (records, error) in enumerate(outcomes):
         if error is not None:
             logger.warning("replication %d failed: %s", rep, error)
             failures.append({"rep": rep, "error": error})

@@ -1,6 +1,7 @@
 """CLI subcommands: happy paths, exit codes, and output files."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -410,6 +411,19 @@ def test_fit_degenerate_tails_is_data_error(tmp_path):
     code = main(["fit", "--data", str(path), "--s-col", "S",
                  "--q", "0.5", "--out", str(tmp_path / "r.json")])
     assert code == 3
+
+
+@pytest.mark.parametrize("preset, expected", [
+    ({}, ["1", "1", "1"]),
+    ({"OPENBLAS_NUM_THREADS": "3"}, ["3", "1", "1"]),
+])
+def test_import_pins_unset_blas_threads_to_one(preset, expected):
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in names} | preset
+    probe = f"import os, ulasso; print([os.environ[k] for k in {names!r}])"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{expected!r}\n"
 
 
 def test_import_loads_neither_scipy_stats_nor_special():

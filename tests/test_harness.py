@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ulasso.harness import (
+    REPLICATION_COLUMNS,
     CsvFormatError,
     ExperimentAbortedError,
     ExperimentConfig,
@@ -109,6 +110,41 @@ class TestRunExperiment:
         }
         ulasso_row = next(r for r in result.rows if r["estimator"] == "ulasso_q0.1")
         assert set(ulasso_row["re_vs"]) == names - {"ulasso_q0.1"}
+
+    def test_records_hold_exactly_the_replication_columns(self):
+        # rep 0 has a two-class validation draw and rep 1 a one-class one; q=0.0005 keeps
+        # n_q = 2 rows, whose fit selects nothing, so its direction is degenerate
+        sim = SimulationConfig(p=9, rho=0.0, xi_law=XiLaw.NORMAL_3_1, n_pop=3000, seed=1)
+        cfg = ExperimentConfig(sim=sim, q_values=(0.0005, 0.1), supervised_sizes=(100,),
+                               n_replications=2, validation_size=2)
+        records = run_experiment(cfg).replications
+        assert len(records) == 12
+        assert all(tuple(rec) == REPLICATION_COLUMNS for rec in records)
+        by_key = {(rec["rep"], rec["estimator"]): rec for rec in records}
+        assert by_key[0, "ulasso_q0.0005"]["n_q"] == 2
+        assert by_key[0, "ulasso_q0.0005"]["auc"] is None
+        assert by_key[0, "ulasso_q0.1"]["auc"] is not None
+        assert all(by_key[1, name]["auc"] is None for name in
+                   ("ulasso_q0.1", "ulasso_combined", "slasso_n100", "beta0_oracle"))
+        for (rep, name), rec in by_key.items():
+            tail = name in ("ulasso_q0.0005", "ulasso_q0.1")
+            assert (rec["q"] is None, rec["n_q"] is None, rec["pi_q_hat"] is None) == (
+                (not tail,) * 3)
+            assert (rec["tpr"] is None) == (rec["fpr"] is None) == (
+                name in ("ulasso_combined", "alpha0_benchmark", "beta0_oracle"))
+            assert rec["mse"] is not None
+        assert by_key[0, "beta0_oracle"]["mse"] == 0.0
+
+    def test_degenerate_direction_warning_names_replication_and_estimator(self, caplog):
+        sim = SimulationConfig(p=9, rho=0.0, xi_law=XiLaw.NORMAL_3_1, n_pop=3000, seed=1)
+        cfg = ExperimentConfig(sim=sim, q_values=(0.0005,), supervised_sizes=(100,),
+                               n_replications=1, validation_size=1000)
+        with caplog.at_level("WARNING", logger="ulasso.harness"):
+            run_experiment(cfg)
+        assert caplog.messages == [
+            "replication 0: degenerate ulasso_q0.0005 direction left out of AUC",
+            "replication 0: degenerate ulasso_combined direction left out of AUC",
+        ]
 
     def test_abort_on_failures(self, monkeypatch):
         import ulasso.harness as harness
